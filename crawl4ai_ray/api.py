@@ -52,15 +52,10 @@ class RayWebCrawler:
         if getattr(self, "_sf_dir", None) is not None:
             import pyarrow.parquet as pq
 
-            from .config import CrawlConfig
-            from .pipelines.crawl import _ensure_bucketed
-            from .sources.bucketed import BucketedCorpus, bucket_of
+            from .sources.bucketed import BucketedCorpus, bucket_of, ensure_bucketed
 
             if not hasattr(self, "_bucketed"):
-                self._bucketed = BucketedCorpus(
-                    _ensure_bucketed(self._sf_dir, CrawlConfig()),
-                    materialize=False,
-                )
+                self._bucketed = BucketedCorpus(ensure_bucketed(self._sf_dir))
             b = int(bucket_of([url], self._bucketed.num_buckets)[0])
             files = self._bucketed.bucket_files.get(b)
             self.last_lookup_bytes = self._bucketed.bucket_bytes.get(b, 0)

@@ -104,7 +104,6 @@ class CrawlConfig:
     max_pages_per_host_per_wave: int | None = None
     base_delay_s: float = 2.0  # deterministic midpoint of uniform(1,3)
     max_delay_s: float = 60.0
-    max_retries: int = 3
     check_robots: bool = False
     # queue aging (fairness): per-wave score boost for rows that have waited,
     # the wave analogue of the reference dispatcher's −wait_time priority
@@ -116,8 +115,8 @@ class CrawlConfig:
     # memory-adaptive dispatch, the wave-level analogue of the reference's
     # MemoryAdaptiveDispatcher pressure ladder (async_dispatcher.py:
     # 121-187 monitor, 229-258 requeue): probe once per wave via
-    # ``memory_probe()`` (percent; default = psutil, else Ray object-store
-    # fill). percent ≥ memory_threshold_percent → PRESSURE: the wave
+    # ``memory_probe()`` (percent; default = psutil, else /proc/meminfo).
+    # percent ≥ memory_threshold_percent → PRESSURE: the wave
     # budget shrinks to 1/4 (the "pause new launches" analogue). percent
     # ≥ critical_threshold_percent → CRITICAL: the admitted slice is
     # REQUEUED with retry_count+1 instead of fetched (rows keep their
@@ -147,28 +146,11 @@ class CrawlConfig:
     seen_filter: str = "bloom"
     seen_capacity_per_shard: int = 1_000_000
     scrape_batch_size: int = 64
-    scrape_concurrency: int | None = None
-    # checkpointing
-    checkpoint_dir: str | None = None
-    # debug/conformance only: also embed the wave's full URL list in
-    # manifest.json (normally the JSON carries only a count + the
-    # frontier.parquet pointer so it stays O(1) in wave size)
-    manifest_debug_urls: bool = False
-    # frontier-scale fetch: when set, waves read only the hash buckets the
-    # frontier touches (sources/bucketed.py) instead of broadcast-scanning
-    # the whole corpus
+    # corpus source: when set, the crawl reads this bucketed layout's files
+    # (sources/bucketed.py partition_corpus) instead of its ``pages``
+    # argument. Either way the corpus is read once and kept in the object
+    # store for every wave (pipelines/crawl.py).
     corpus_bucket_dir: str | None = None
-    # DEFAULT scale path for multi-wave crawls over a parquet corpus dir:
-    # auto-partition the corpus by hash(url) under /tmp on first use (keyed
-    # by path+mtime, amortized across runs) and fetch via bucket pruning.
-    # Set False to force the broadcast-scan path.
-    auto_bucket: bool = True
-    # None → sized from corpus bytes (~64 MB/bucket, sources/bucketed.py)
-    auto_bucket_num_buckets: int | None = None
-    # pin the corpus in the object store once and reuse across waves —
-    # right when the corpus fits cluster memory (it spills otherwise);
-    # set False at true 100 TB scale (then prefer corpus_bucket_dir)
-    materialize_corpus: bool = True
     # link gating/prioritization (functions.filters instances; picklable)
     filter_chain: object | None = None
     url_scorer: object | None = None

@@ -23,9 +23,13 @@ with optional queue aging (cfg.aging_rate — the reference dispatcher's
 
 The driver only ever materializes the budget-bounded admitted slice of the
 frontier; new candidates flow shard → parquet → Dataset without touching
-the driver. The corpus fetch defaults to the hash-bucketed layout
-(sources/bucketed.py, auto-partitioned under /tmp on first use) so a wave
-reads only the buckets its frontier hashes into.
+the driver. The corpus is resolved once per crawl (the bucket files of
+``cfg.corpus_bucket_dir`` when set, else the sf_dir's pages or the given
+Dataset) and materialized into the object store; every wave then fetches
+with one plain-function ``map_batches`` that joins the resident blocks
+against the admitted slice (sources/bucketed.py ``make_fetch_filter``).
+The per-wave bucket-pruned read (``BucketedCorpus.fetch``) only pays once a
+corpus outgrows the object store, so the crawl does not use it.
 
 Determinism: every wave's membership and order is a pure function of the
 corpus + config (canonical dedup tie-breaks, sorted shard finalize, seeded
@@ -33,14 +37,16 @@ virtual-time politeness) — this is the crawl-order parity surface.
 
 Checkpointing: ``out_dir/wave=NNNN/`` holds docs parquet, the next
 frontier parquet, per-shard seen dumps and a manifest with lineage +
-filter/dedup/politeness metrics; ``resume_crawl`` restarts from the last
-complete wave (SURVEY.md §4.2).
+filter/dedup/politeness metrics, written last and atomically;
+``resume_crawl`` restarts from the last wave whose manifest exists
+(SURVEY.md §4.2).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time
 
@@ -51,24 +57,18 @@ import ray
 
 from ..config import CrawlConfig
 from ..functions.urls import host_of, normalize_url_for_deep_crawl
+from ..sources.bucketed import BucketedCorpus, make_fetch_filter
 from ..sources.pages import read_pages
 from ..stages.extract import ExtractPages
 from ..stages.frontier import DiscoverCandidates, DiscoveryStats
-from ..state.frontier_store import (
-    FRONTIER_SCHEMA,
-    FrontierStore,
-    empty_frontier,
-    sort_frontier,
-)
+from ..state.frontier_store import FrontierStore, empty_frontier
 from ..state.politeness import PolitenessPool
 from ..state.seen import SeenSet
 
-# backward-compat aliases (round-1 module surface)
-_empty_frontier = empty_frontier
-
 
 def _frontier_from_seeds(seeds: list[str]) -> pa.Table:
-    norm = [normalize_url_for_deep_crawl(s, s) for s in seeds]
+    # one row per url: each frontier row is fetched (and crawled) once
+    norm = list(dict.fromkeys(normalize_url_for_deep_crawl(s, s) for s in seeds))
     return pa.table(
         {
             "url_norm": pa.array(norm, pa.string()),
@@ -114,49 +114,6 @@ def _default_memory_probe() -> float:
     except OSError:
         pass
     return 0.0
-
-
-def _ensure_bucketed(sf_dir: str, cfg: CrawlConfig) -> str:
-    """Partition the corpus by hash(url) once (amortized across runs: the
-    layout is keyed on the synthesized corpus cache dir + generator version
-    + bucket count, so a corpus change invalidates it)."""
-    import hashlib
-
-    from ..sources.bucketed import choose_num_buckets, partition_corpus
-    from ..sources.pages import PAGES_VERSION, synthesize_pages
-
-    pages_dir = synthesize_pages(sf_dir)
-    num_buckets = cfg.auto_bucket_num_buckets
-    if num_buckets is None:
-        total = sum(
-            os.path.getsize(os.path.join(pages_dir, f))
-            for f in os.listdir(pages_dir)
-            if f.endswith(".parquet")
-        )
-        num_buckets = choose_num_buckets(total)
-    slug = hashlib.sha1(
-        f"{os.path.realpath(pages_dir)}|{PAGES_VERSION}".encode()
-    ).hexdigest()[:16]
-    out = os.path.join(
-        tempfile.gettempdir(), "c4r_buckets", f"{slug}_b{num_buckets}"
-    )
-    if not os.path.exists(os.path.join(out, "_BUCKETS")):
-        # build into a private temp dir and atomically rename into place:
-        # two concurrent crawls can otherwise both pass the check and
-        # double-write bucket files (duplicated corpus rows — r2 ADVICE).
-        # The loser of the rename race discards its build.
-        parent = os.path.join(tempfile.gettempdir(), "c4r_buckets")
-        os.makedirs(parent, exist_ok=True)
-        tmp = tempfile.mkdtemp(prefix=f"{slug}_b{num_buckets}.build.", dir=parent)
-        pages = ray.data.read_parquet(pages_dir, columns=["url", "html"])
-        partition_corpus(pages, tmp, num_buckets)
-        try:
-            os.rename(tmp, out)
-        except OSError:  # somebody else won; their layout is complete
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-    return out
 
 
 class WaveUrls:
@@ -235,6 +192,24 @@ class CrawlRun:
         return None
 
 
+def _write_checkpoint(
+    wave_dir: str, store: FrontierStore, seen: SeenSet, manifest: dict
+) -> None:
+    """Persist a finished wave: the pending frontier, the seen-shard dumps,
+    then ``manifest.json`` last. ``resume_crawl`` counts a wave directory as
+    complete once its manifest exists, so the manifest is written to a
+    ``.tmp`` file and renamed into place: a torn write never looks complete."""
+    os.makedirs(wave_dir, exist_ok=True)
+    store.spill(os.path.join(wave_dir, "pending.parquet"))
+    for i, payload in enumerate(seen.dump_all()):
+        with open(os.path.join(wave_dir, f"seen_shard_{i:03d}.bloom"), "wb") as f:
+            f.write(payload)
+    tmp = os.path.join(wave_dir, "manifest.json.tmp")
+    with open(tmp, "w") as f:
+        json.dump(manifest, f)
+    os.replace(tmp, os.path.join(wave_dir, "manifest.json"))
+
+
 def crawl(
     pages: "ray.data.Dataset | str",
     seeds: list[str],
@@ -248,24 +223,20 @@ def crawl(
 ) -> CrawlRun:
     """Run a deterministic deep crawl over an offline pages corpus.
 
-    ``pages``: a Dataset of (url, html, …) or an sf_dir path.
+    ``pages``: a Dataset of (url, html, …) or an sf_dir path; ignored when
+    ``cfg.corpus_bucket_dir`` is set.
     """
-    from ..sources.bucketed import BucketedCorpus, frontier_meta_table, make_fetch_filter
-
     cfg = cfg or CrawlConfig()
-    bucket_dir = cfg.corpus_bucket_dir
-    corpus = None
-    if isinstance(pages, str):
-        if bucket_dir is None and cfg.auto_bucket:
-            bucket_dir = _ensure_bucketed(pages, cfg)
-        else:
-            pages = read_pages(pages, columns=["url", "html"])
-    if bucket_dir is not None:
-        # bucket-pruned fetch; per-bucket Datasets cached across waves
-        corpus = BucketedCorpus(bucket_dir, materialize=cfg.materialize_corpus)
-    elif cfg.materialize_corpus:
-        # one read; every wave then maps over plasma-resident blocks
-        pages = pages.materialize()
+    # ---- the corpus: read once, resident in the object store for every wave
+    if cfg.corpus_bucket_dir is not None:
+        files = BucketedCorpus(cfg.corpus_bucket_dir).bucket_files.values()
+        pages = ray.data.read_parquet(
+            [f for fs in files for f in fs], columns=["url", "html"]
+        )
+    elif isinstance(pages, str):
+        pages = read_pages(pages, columns=["url", "html"])
+    corpus = pages.materialize()
+    corpus_bytes = corpus.size_bytes()
 
     seen = SeenSet(
         num_shards=cfg.seen_shards,
@@ -281,7 +252,8 @@ def crawl(
     stats_actor = DiscoveryStats.remote()
     run = CrawlRun(out_dir)
     run.pages_crawled = pages_crawled0
-    # frontier spill scratch: checkpoints when out_dir is set, /tmp otherwise
+    # frontier spill scratch: checkpoints when out_dir is set, else a temp
+    # dir removed when the crawl ends
     scratch = out_dir or tempfile.mkdtemp(prefix="c4r_frontier_")
     store = FrontierStore(
         strategy=cfg.strategy,
@@ -308,7 +280,7 @@ def crawl(
             store.push(seeds_tbl)
 
         wave = start_wave
-        while len(store) > 0:
+        while len(store) > 0 and wave <= 10_000:  # safety bound on waves
             if cfg.max_pages is not None and run.pages_crawled >= cfg.max_pages:
                 break
 
@@ -377,21 +349,11 @@ def crawl(
                 if out_dir:
                     # checkpoint the requeued wave like any other so a
                     # resume mid-pressure restarts from consistent state
-                    wave_dir = os.path.join(out_dir, f"wave={wave:04d}")
-                    os.makedirs(wave_dir, exist_ok=True)
-                    store.spill(os.path.join(wave_dir, "pending.parquet"))
-                    for i, payload in enumerate(seen.dump_all()):
-                        with open(
-                            os.path.join(wave_dir, f"seen_shard_{i:03d}.bloom"),
-                            "wb",
-                        ) as f:
-                            f.write(payload)
-                    with open(os.path.join(wave_dir, "manifest.json"), "w") as f:
-                        json.dump(manifest, f)
+                    _write_checkpoint(
+                        os.path.join(out_dir, f"wave={wave:04d}"), store, seen, manifest
+                    )
                 run.waves.append(manifest)
                 wave += 1
-                if wave > 10_000:
-                    break
                 continue
 
             # ---- robots + politeness admission (deterministic order)
@@ -415,41 +377,24 @@ def crawl(
                     break  # pathological cap: nothing admissible this wave
                 if rejected.num_rows:
                     wave += 1  # aging will eventually admit a starved host
-                    if wave > 10_000:
-                        break
                 continue
 
             frontier_urls = admitted.column("url_norm").to_pylist()
             t0 = time.time()
 
-            # ---- fetch ⋉ + extract (one streaming pipeline), write docs
-            fdict = {
-                u: (int(d), p, float(s))
-                for u, d, p, s in zip(
-                    frontier_urls,
-                    admitted.column("depth").to_pylist(),
-                    admitted.column("parent_url").to_pylist(),
-                    admitted.column("score").to_pylist(),
-                )
-            }
-            # ONE fused streaming pipeline per wave: fetch ⋉ → extract →
+            # ---- ONE fused streaming pipeline per wave: fetch ⋉ → extract →
             # candidate discovery (side-effect into the seen shards) → sink.
-            # Both fetch paths are plain-function map_batches over a
-            # zero-copy plasma Arrow meta table (no per-wave actor pools).
-            if corpus is not None:
-                fetched = corpus.fetch(fdict, hooks=cfg.fetch_hooks)
-                fetch_bytes = corpus.last_fetch_bytes
-                fetch_bytes_total = corpus.total_bytes
-            else:
-                meta_ref = ray.put(frontier_meta_table(fdict))
-                fetched = pages.map_batches(
-                    make_fetch_filter(meta_ref, cfg.fetch_hooks),
-                    batch_format="pyarrow",
-                    batch_size=1024,
-                )
-                fetch_bytes = fetch_bytes_total = None
+            # The fetch is a plain-function map_batches over the resident
+            # corpus, joined against the admitted slice shipped as a
+            # zero-copy plasma Arrow table (no per-wave actor pools).
+            meta = admitted.select(["url_norm", "depth", "parent_url", "score"])
+            meta = meta.rename_columns(["url", "depth", "parent_url", "score"])
             docs = (
-                fetched.map_batches(
+                corpus.map_batches(
+                    make_fetch_filter(ray.put(meta), cfg.fetch_hooks),
+                    batch_format="pyarrow",
+                )
+                .map_batches(
                     ExtractPages(cfg.scrape),
                     batch_format="pyarrow",
                     batch_size=cfg.scrape_batch_size,
@@ -457,8 +402,8 @@ def crawl(
                 .map_batches(
                     DiscoverCandidates(
                         seen,
-                        filter_chain=cfg_filter_chain(cfg),
-                        scorer=cfg_scorer(cfg),
+                        filter_chain=cfg.filter_chain,
+                        scorer=cfg.url_scorer,
                         score_threshold=cfg.score_threshold,
                         include_external=cfg.include_external,
                         max_depth=cfg.max_depth,
@@ -478,7 +423,6 @@ def crawl(
                 tbl = ray.get(ref)
                 if "url" in tbl.column_names:  # skip schema-less empties
                     crawled_urls.update(tbl.column("url").to_pylist())
-            wave_dir = None
             if out_dir:
                 wave_dir = os.path.join(out_dir, f"wave={wave:04d}")
                 docs_dir = os.path.join(wave_dir, "docs")
@@ -530,8 +474,7 @@ def crawl(
                 "resources": mem_stats,
                 "frontier_size": len(frontier_urls),
                 "frontier_dataset_mode": store.dataset_mode,
-                "corpus_scan_bytes": fetch_bytes,
-                "corpus_total_bytes": fetch_bytes_total,
+                "corpus_scan_bytes": corpus_bytes,
                 "pages_crawled": n_crawled,
                 "cumulative_pages": run.pages_crawled,
                 "candidates_offered": int(stats["n_candidates"]),
@@ -543,25 +486,15 @@ def crawl(
                 "politeness": politeness.stats(),
                 "wall_s": round(time.time() - t0, 3),
             }
-            if out_dir and wave_dir:
+            if out_dir:
                 # manifest.json stays O(1) in wave size: the admitted slice
                 # goes to frontier.parquet and the JSON carries only the
                 # count + pointer (a 1e6-url wave would otherwise write a
-                # multi-MB JSON per wave — r2 VERDICT #7). The raw list is
-                # included only under the debug flag.
-                import pyarrow.parquet as pq
-
+                # multi-MB JSON per wave — r2 VERDICT #7).
                 frontier_path = os.path.join(wave_dir, "frontier.parquet")
                 pq.write_table(admitted, frontier_path)
                 manifest["frontier_parquet"] = "frontier.parquet"
-                if cfg.manifest_debug_urls:
-                    manifest["frontier_urls"] = frontier_urls
-                store.spill(os.path.join(wave_dir, "pending.parquet"))
-                for i, payload in enumerate(seen.dump_all()):
-                    with open(os.path.join(wave_dir, f"seen_shard_{i:03d}.bloom"), "wb") as f:
-                        f.write(payload)
-                with open(os.path.join(wave_dir, "manifest.json"), "w") as f:
-                    json.dump(manifest, f)
+                _write_checkpoint(wave_dir, store, seen, manifest)
                 # in-memory view reads the checkpoint on demand — the driver
                 # does not accumulate URL lists across waves
                 manifest["frontier_urls"] = WaveUrls(path=frontier_path)
@@ -573,10 +506,7 @@ def crawl(
                 manifest["frontier_urls"] = frontier_urls
                 manifest["frontier_table"] = admitted
             run.waves.append(manifest)
-
             wave += 1
-            if wave > 10_000:  # safety
-                break
         # expose final state so callers (adaptive crawler, drivers) can
         # continue the crawl without re-reading disk checkpoints
         run.final_pending = store.to_table()
@@ -586,14 +516,8 @@ def crawl(
         seen.shutdown()
         politeness.shutdown()
         ray.kill(stats_actor)
-
-
-def cfg_filter_chain(cfg: CrawlConfig):
-    return getattr(cfg, "filter_chain", None)
-
-
-def cfg_scorer(cfg: CrawlConfig):
-    return getattr(cfg, "url_scorer", None)
+        if out_dir is None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _read_pending_checkpoint(path: str) -> pa.Table:

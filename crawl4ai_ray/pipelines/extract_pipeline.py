@@ -21,15 +21,8 @@ def extract_dataset(
     cfg: ScrapeConfig | None = None,
     batch_size: int = 64,
     concurrency=None,
-    preserve_order: bool = False,
 ) -> "ray.data.Dataset":
-    """Attach the extraction stage to an existing pages Dataset (lazy).
-
-    ``preserve_order=True`` pins block output order to input order
-    (conformance runs; bench runs leave it off — it serializes the
-    streaming executor's completion reordering)."""
-    if preserve_order:
-        ray.data.DataContext.get_current().execution_options.preserve_order = True
+    """Attach the extraction stage to an existing pages Dataset (lazy)."""
     return pages.map_batches(
         ExtractPages(cfg),
         batch_format="pyarrow",

@@ -1,32 +1,36 @@
-"""Hash-bucketed corpus layout — the frontier-scale fetch-join path.
+"""Hash-bucketed corpus layout and the crawl's fetch join.
 
-The naive fetch broadcasts the wave's frontier and scans the whole corpus
-per wave. That is right when waves are budget-bounded (≤ ~1e6 urls) and the
-corpus scan is cheap; at a 10^10-URL frontier the corpus must be laid out
-ONCE by hash(url) so each wave only reads the buckets its frontier touches:
-
-    partition_corpus(pages, out_dir, P)   # one-time shuffle-by-hash
-    BucketedCorpus(out_dir).fetch(meta)   # reads only hit buckets
-
-Bucket pruning composes with Parquet row-group pruning; a frontier that
-touches b of P buckets costs b/P of the scan. The same layout serves every
-wave of every crawl over the corpus (amortized once). Bucket count is sized
-to ~TARGET_BUCKET_BYTES of html per bucket so tiny corpora don't shatter
-into hundreds of files (per-wave read-task overhead) while huge corpora
-still prune effectively.
-
-The per-wave frontier ships as an Arrow table through ``ray.put`` — Arrow
+``make_fetch_filter`` is the fetch every crawl wave runs: a plain-function
+``map_batches`` UDF that semi-joins a corpus batch against the wave's
+frontier. The frontier ships as an Arrow table through ``ray.put`` — Arrow
 objects deserialize ZERO-COPY from plasma, so each fetch task's per-batch
 ``ray.get`` costs nothing (unlike a python dict, which would re-pickle per
-task). The semi-join + metadata annotation is one ``pyarrow`` hash join per
-batch. All fetch stages are plain-function ``map_batches`` (no per-wave
-actor-pool spin-up).
+task) — and the semi-join + metadata annotation is one ``pyarrow`` hash
+join per batch.
+
+The layout partitions a corpus ONCE by hash(url) so a lookup reads only the
+buckets its urls hash into:
+
+    partition_corpus(pages, out_dir, P)      # one-time shuffle-by-hash
+    BucketedCorpus(out_dir).fetch(frontier)  # reads only hit buckets
+
+Bucket pruning composes with Parquet row-group pruning; a frontier that
+touches b of P buckets costs b/P of the scan. Bucket count is sized to
+~TARGET_BUCKET_BYTES of html per bucket so tiny corpora don't shatter into
+hundreds of files (per-read task overhead) while huge corpora still prune.
+Point lookups (``RayWebCrawler.run``) use the pruned read; a crawl reads
+every bucket file once and keeps the corpus resident
+(pipelines/crawl.py), because pruning buys nothing while the corpus fits
+the object store.
 """
 
 from __future__ import annotations
 
 import glob as _glob
+import hashlib
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -34,6 +38,7 @@ import pyarrow as pa
 import ray
 
 from ..functions.hashing import HASH_SPEC, hash64
+from .pages import PAGES_VERSION, synthesize_pages
 
 TARGET_BUCKET_BYTES = 64 * 1024 * 1024
 FETCH_SCHEMA = pa.schema(
@@ -175,23 +180,16 @@ def read_bucket_meta(corpus_dir: str) -> int:
 
 
 class BucketedCorpus:
-    """Per-run handle over a bucketed layout.
+    """Handle over a bucketed layout: the per-bucket files and their bytes.
 
-    Two fetch modes, chosen by whether the corpus fits cluster memory:
-
-    - ``materialize=True`` (corpus ≪ cluster memory): the whole corpus is
-      read ONCE into plasma; every wave joins against the resident blocks.
-      Bucket pruning buys nothing when the data is already in memory.
-    - ``materialize=False`` (the 100 TB scale path): each wave issues ONE
-      ``read_parquet`` over only the hit buckets' files — a frontier that
-      touches b of P buckets scans b/P of the corpus (telemetry in
-      ``last_fetch_bytes``).
+    ``fetch`` issues ONE ``read_parquet`` over only the hit buckets' files —
+    a frontier that touches b of P buckets scans b/P of the corpus
+    (telemetry in ``last_fetch_bytes``).
     """
 
-    def __init__(self, corpus_dir: str, materialize: bool = True):
+    def __init__(self, corpus_dir: str):
         self.corpus_dir = corpus_dir
         self.num_buckets = read_bucket_meta(corpus_dir)
-        self.materialize = materialize
         self.bucket_files: dict[int, list[str]] = {}
         self.bucket_bytes: dict[int, int] = {}
         for b in range(self.num_buckets):
@@ -202,7 +200,6 @@ class BucketedCorpus:
                 self.bucket_files[b] = files
                 self.bucket_bytes[b] = sum(os.path.getsize(f) for f in files)
         self.total_bytes = sum(self.bucket_bytes.values())
-        self._all_ds = None
         self.last_fetch_bytes = 0
 
     def fetch(self, frontier: dict[str, tuple], hooks: "FetchHooks | None" = None) -> "ray.data.Dataset":
@@ -218,19 +215,9 @@ class BucketedCorpus:
             self.last_fetch_bytes = 0
             return ray.data.from_arrow(FETCH_SCHEMA.empty_table())
         meta_ref = ray.put(frontier_meta_table(frontier))
-        if self.materialize:
-            if self._all_ds is None:
-                all_files = [f for fs in self.bucket_files.values() for f in fs]
-                self._all_ds = ray.data.read_parquet(
-                    all_files, columns=["url", "html"]
-                ).materialize()
-            self.last_fetch_bytes = self.total_bytes  # resident, not re-read
-            ds = self._all_ds
-        else:
-            files = [f for b in hit for f in self.bucket_files[b]]
-            self.last_fetch_bytes = sum(self.bucket_bytes[b] for b in hit)
-            ds = ray.data.read_parquet(files, columns=["url", "html"])
-        return ds.map_batches(
+        files = [f for b in hit for f in self.bucket_files[b]]
+        self.last_fetch_bytes = sum(self.bucket_bytes[b] for b in hit)
+        return ray.data.read_parquet(files, columns=["url", "html"]).map_batches(
             make_fetch_filter(meta_ref, hooks), batch_format="pyarrow"
         )
 
@@ -238,6 +225,38 @@ class BucketedCorpus:
 def fetch_bucketed(
     corpus_dir: str, frontier: dict[str, tuple]
 ) -> "ray.data.Dataset":
-    """One-shot convenience wrapper (kept for API compat; multi-wave crawls
-    hold a BucketedCorpus to amortize the per-bucket Dataset cache)."""
-    return BucketedCorpus(corpus_dir, materialize=False).fetch(frontier)
+    """One-shot convenience wrapper around ``BucketedCorpus.fetch``."""
+    return BucketedCorpus(corpus_dir).fetch(frontier)
+
+
+def ensure_bucketed(sf_dir: str) -> str:
+    """Partition an sf_dir's pages corpus by hash(url) once and return the
+    layout dir (amortized across runs: the layout is keyed on the
+    synthesized corpus cache dir + generator version + bucket count, so a
+    corpus change invalidates it)."""
+    pages_dir = synthesize_pages(sf_dir)
+    total = sum(
+        os.path.getsize(os.path.join(pages_dir, f))
+        for f in os.listdir(pages_dir)
+        if f.endswith(".parquet")
+    )
+    num_buckets = choose_num_buckets(total)
+    slug = hashlib.sha1(
+        f"{os.path.realpath(pages_dir)}|{PAGES_VERSION}".encode()
+    ).hexdigest()[:16]
+    parent = os.path.join(tempfile.gettempdir(), "c4r_buckets")
+    out = os.path.join(parent, f"{slug}_b{num_buckets}")
+    if not os.path.exists(os.path.join(out, "_BUCKETS")):
+        # build into a private temp dir and atomically rename into place:
+        # two concurrent builds can otherwise both pass the check and
+        # double-write bucket files (duplicated corpus rows — r2 ADVICE).
+        # The loser of the rename race discards its build.
+        os.makedirs(parent, exist_ok=True)
+        tmp = tempfile.mkdtemp(prefix=f"{slug}_b{num_buckets}.build.", dir=parent)
+        pages = ray.data.read_parquet(pages_dir, columns=["url", "html"])
+        partition_corpus(pages, tmp, num_buckets)
+        try:
+            os.rename(tmp, out)
+        except OSError:  # somebody else won; their layout is complete
+            shutil.rmtree(tmp, ignore_errors=True)
+    return out

@@ -418,19 +418,3 @@ class FrontierStore:
         else:
             tbl = self._table
         return sort_frontier(tbl, self.strategy, 0, 0.0)
-
-    @staticmethod
-    def from_table(
-        tbl: pa.Table,
-        strategy: str,
-        aging_rate: float = 0.0,
-        spill_dir: str | None = None,
-        small_threshold: int = 200_000,
-    ) -> "FrontierStore":
-        fs = FrontierStore(strategy, aging_rate, spill_dir, small_threshold)
-        if "enqueued_wave" not in tbl.column_names:  # legacy checkpoint
-            tbl = tbl.append_column(
-                "enqueued_wave", pa.array([0] * tbl.num_rows, pa.int32())
-            )
-        fs.push(tbl)
-        return fs

@@ -68,13 +68,16 @@ def test_crawl_with_bucketed_corpus(ray_session, tmp_path):
     partition_corpus(pages, corpus_dir, num_buckets=8)
     cfg_b = CrawlConfig(max_depth=1, seen_shards=2, corpus_bucket_dir=corpus_dir)
     cfg_n = CrawlConfig(max_depth=1, seen_shards=2)
-    run_b = crawl(pages, seeds=[url_of(0), url_of(1)], cfg=cfg_b)
-    run_n = crawl(pages, seeds=[url_of(0), url_of(1)], cfg=cfg_n)
-    # bucket-pruned fetch must produce exactly the same crawl
-    assert [w["frontier_urls"] for w in run_b.waves] == [
-        w["frontier_urls"] for w in run_n.waves
+    seeds = [url_of(0), url_of(1)]
+    runs = [
+        crawl(pages, seeds=seeds, cfg=cfg_b),  # the layout's bucket files
+        crawl(pages, seeds=seeds, cfg=cfg_n),  # the given Dataset
+        crawl(SF, seeds=seeds, cfg=cfg_n),  # the sf_dir path
     ]
-    assert run_b.pages_crawled == run_n.pages_crawled
+    # the corpus source must not change the crawl
+    orders = [[list(w["frontier_urls"]) for w in r.waves] for r in runs]
+    assert orders[0] == orders[1] == orders[2]
+    assert runs[0].pages_crawled == runs[1].pages_crawled == runs[2].pages_crawled > 0
 
 
 def test_crawler_hub():

@@ -225,6 +225,55 @@ def test_checkpoint_resume(ray_session, tmp_path):
     assert os.path.exists(os.path.join(out1, "wave=0000", "docs"))
 
 
+def test_resume_skips_torn_manifest(ray_session, tmp_path):
+    """A wave directory whose manifest never made it past ``.tmp`` is not a
+    complete wave: resume restarts from the last complete one."""
+    cfg = CrawlConfig(max_depth=2, seen_shards=2)
+    full = crawl(SF, seeds=SEEDS, cfg=cfg)
+    out = str(tmp_path / "cut")
+    w0 = full.waves[0]["frontier_size"]
+    crawl(SF, seeds=SEEDS, cfg=CrawlConfig(max_depth=2, seen_shards=2, max_pages=w0),
+          out_dir=out)
+    assert sorted(os.listdir(os.path.join(out, "wave=0000"))).count("manifest.json") == 1
+    assert not any(f.endswith(".tmp") for f in os.listdir(os.path.join(out, "wave=0000")))
+    torn = os.path.join(out, "wave=0001")
+    os.makedirs(torn)
+    with open(os.path.join(torn, "manifest.json.tmp"), "w") as f:
+        f.write('{"wave": 1, "cumul')
+    resumed = resume_crawl(SF, cfg, out)
+    full_urls = [u for w in full.waves for u in w["frontier_urls"]]
+    resumed_urls = [u for w in resumed.waves for u in w["frontier_urls"]]
+    assert resumed.waves[0]["wave"] == 1
+    assert full.waves[0]["frontier_urls"] + resumed_urls == full_urls
+
+
+def test_duplicate_seeds_crawl_once(ray_session):
+    """Seeds that normalize to one url are one frontier row: fetched,
+    extracted and listed in the crawl order once."""
+    cfg = CrawlConfig(max_depth=0, seen_shards=2)
+    run = crawl(SF, seeds=[url_of(0), url_of(0), url_of(0) + "#top"], cfg=cfg)
+    assert run.crawl_order == [(url_of(0), 0)]
+    assert run.docs_dataset().count() == 1
+
+
+def test_crawl_leaves_no_scratch(ray_session, tmp_path, monkeypatch):
+    """An un-checkpointed crawl removes its frontier scratch dir and builds
+    no bucket layout, for a path and for a Dataset corpus."""
+    import tempfile
+
+    from crawl4ai_ray.sources.pages import read_pages
+
+    pages = read_pages(SF, columns=["url", "html"])
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = CrawlConfig(max_depth=2, seen_shards=2, frontier_small_threshold=10)
+    for corpus in (SF, pages):
+        run = crawl(corpus, seeds=SEEDS, cfg=cfg)
+        assert run.pages_crawled > 0 and run.final_pending is not None
+        left = [f for f in os.listdir(tmp_path)
+                if f.startswith("c4r_frontier_") or f == "c4r_buckets"]
+        assert left == []
+
+
 def test_checkpoint_resume_dataset_mode_and_strategies(ray_session, tmp_path):
     """Resume parity holds when the frontier runs in Dataset mode (directory
     pending.parquet checkpoints) and for dfs / best_first orderings."""
