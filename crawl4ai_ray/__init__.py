@@ -4,7 +4,8 @@ A from-scratch rebuild of the query & data-processing capabilities of the
 reference crawler (buizmanager/crawl4ai) on top of ``ray.data.Dataset``:
 
 - columnar Arrow batches end-to-end (``map_batches(batch_format="pyarrow")``)
-- stateful stages (URL-seen Bloom shards, politeness/robots) as actor pools
+- stateful stages (URL-seen Bloom shards) as actors; politeness/robots as a
+  driver-side host table
 - the crawl frontier as iterative Dataset pipelines (normalize → seen
   anti-join → politeness admission → sort(score)+limit)
 - extraction (HTML → cleaned_html/markdown/links/media/tables/metadata) as

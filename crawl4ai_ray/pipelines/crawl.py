@@ -5,12 +5,22 @@ Ray-Data-native rebuild of the reference's deep-crawl strategies
 PriorityQueue becomes a FrontierStore — a parquet-backed Dataset with a
 distributed ``sort(keys).limit(budget)`` per wave (driver-side Arrow fast
 path below a size threshold; identical ordering, tested); the ``visited``
-set becomes the sharded Bloom+exact UrlSeenShard pool; the RateLimiter
-becomes host-partitioned virtual-time politeness actors; each wave is one
-streaming Dataset pipeline
+set becomes the sharded Bloom+exact UrlSeenShard pool, whose
+``cfg.seen_shards`` actors are the only actors a crawl starts; the
+RateLimiter becomes a virtual-time host table held in the driver
+(state/politeness.py). Each wave is one streaming Dataset execution
 
-    pages ⋉ frontier → extract → write docs → discover candidates
-    → shard finalize (dedup + seen anti-join + mark, spilled to parquet)
+    pages ⋉ frontier → extract → discover candidates (offered to the shards)
+    → sink: ``write_parquet`` to the wave's docs dir when checkpointing,
+      else ``materialize`` (the docs stay in the object store)
+
+followed by one round trip to the shards
+
+    → shard finalize (dedup + seen anti-join + mark, spilled to parquet;
+      the reply carries the wave's discovery counters and seen stats)
+
+and the driver-side steps
+
     → distributed sort + limit → robots/politeness admission
     → next frontier (+ checkpoint)
 
@@ -60,7 +70,7 @@ from ..functions.urls import host_of, normalize_url_for_deep_crawl
 from ..sources.bucketed import BucketedCorpus, make_fetch_filter
 from ..sources.pages import read_pages
 from ..stages.extract import ExtractPages
-from ..stages.frontier import DiscoverCandidates, DiscoveryStats
+from ..stages.frontier import DiscoverCandidates
 from ..state.frontier_store import FrontierStore, empty_frontier
 from ..state.politeness import PolitenessPool
 from ..state.seen import SeenSet
@@ -158,6 +168,20 @@ class WaveUrls:
         return f"WaveUrls({self._path or self._urls!r})"
 
 
+def _doc_files(docs_dirs: list[str]) -> list[str]:
+    """The written docs files that hold rows. A write task whose block held
+    no rows leaves a file without columns, and ``read_parquet`` takes a list
+    of files, not of directories."""
+    files = []
+    for d in docs_dirs:
+        if os.path.isdir(d):
+            for f in sorted(os.listdir(d)):
+                path = os.path.join(d, f)
+                if f.endswith(".parquet") and pq.read_metadata(path).num_rows:
+                    files.append(path)
+    return files
+
+
 class CrawlRun:
     """Results + lineage of one crawl."""
 
@@ -181,9 +205,9 @@ class CrawlRun:
         return out
 
     def docs_dataset(self):
-        dirs = [d for d in self.docs_dirs if os.path.exists(d)]
-        if dirs:
-            return ray.data.read_parquet(dirs)
+        files = _doc_files(self.docs_dirs)
+        if files:
+            return ray.data.read_parquet(files)
         if self.docs_mats:
             ds = self.docs_mats[0]
             for other in self.docs_mats[1:]:
@@ -244,12 +268,10 @@ def crawl(
         approx_filter=cfg.seen_filter,
     )
     politeness = PolitenessPool(
-        num_shards=max(2, cfg.seen_shards // 4),
         base_delay=cfg.base_delay_s,
         max_delay=cfg.max_delay_s,
         robots_rules=robots_rules,
     )
-    stats_actor = DiscoveryStats.remote()
     run = CrawlRun(out_dir)
     run.pages_crawled = pages_crawled0
     # frontier spill scratch: checkpoints when out_dir is set, else a temp
@@ -407,29 +429,35 @@ def crawl(
                         score_threshold=cfg.score_threshold,
                         include_external=cfg.include_external,
                         max_depth=cfg.max_depth,
-                        passthrough=True,
-                        stats_actor=stats_actor,
                     ),
                     batch_format="pyarrow",
                     batch_size=cfg.scrape_batch_size,
                 )
             )
-            # one execution: materialize the wave's docs (budget-bounded,
-            # spillable), then write from the plasma-resident blocks and read
-            # urls zero-copy — no second read of the written parquet
-            docs = docs.materialize()
-            crawled_urls = set()
-            for ref in docs.to_arrow_refs():
-                tbl = ray.get(ref)
-                if "url" in tbl.column_names:  # skip schema-less empties
-                    crawled_urls.update(tbl.column("url").to_pylist())
+            # one execution per wave: a checkpointed crawl streams the docs
+            # straight into the wave's docs dir and reads back only the url
+            # column; otherwise the docs stay materialized in the object
+            # store (budget-bounded, spillable) for ``run.docs_dataset()``
             if out_dir:
                 wave_dir = os.path.join(out_dir, f"wave={wave:04d}")
                 docs_dir = os.path.join(wave_dir, "docs")
-                os.makedirs(docs_dir, exist_ok=True)
+                # a torn earlier attempt at this wave may have left files
+                shutil.rmtree(docs_dir, ignore_errors=True)
+                os.makedirs(docs_dir)
                 docs.write_parquet(docs_dir)
+                crawled_urls = {
+                    u
+                    for f in _doc_files([docs_dir])
+                    for u in pq.read_table(f, columns=["url"]).column("url").to_pylist()
+                }
                 run.docs_dirs.append(docs_dir)
             else:
+                docs = docs.materialize()
+                crawled_urls = set()
+                for ref in docs.to_arrow_refs():
+                    tbl = ray.get(ref)
+                    if "url" in tbl.column_names:  # skip schema-less empties
+                        crawled_urls.update(tbl.column("url").to_pylist())
                 run.docs_mats.append(docs)
             n_crawled = len(crawled_urls)
             run.pages_crawled += n_crawled
@@ -442,11 +470,11 @@ def crawl(
                 [host_of(u) for u in frontier_urls], statuses
             )
 
-            stats = ray.get(stats_actor.read_and_reset.remote())
             # ---- shard finalize → parquet spill → frontier push (new
-            # candidate rows never route through the driver)
+            # candidate rows never route through the driver); the same
+            # reply carries the wave's discovery counters and seen stats
             spill = os.path.join(scratch, "_newfront", f"wave={wave:04d}")
-            new_paths = seen.finalize_wave_parquet(spill, enqueued_wave=wave + 1)
+            new_paths, found = seen.finalize_wave_parquet(spill, enqueued_wave=wave + 1)
             n_new = store.push_parquet(new_paths)
 
             try:
@@ -477,12 +505,12 @@ def crawl(
                 "corpus_scan_bytes": corpus_bytes,
                 "pages_crawled": n_crawled,
                 "cumulative_pages": run.pages_crawled,
-                "candidates_offered": int(stats["n_candidates"]),
-                "candidates_skipped": int(stats["n_skipped"]),
+                "candidates_offered": found["candidates_offered"],
+                "candidates_skipped": found["candidates_skipped"],
                 "new_urls": n_new,
                 "deferred": len(store) - n_new,
                 "politeness_rejected": int(rejected.num_rows),
-                "seen": seen.stats(),
+                "seen": found["seen"],
                 "politeness": politeness.stats(),
                 "wall_s": round(time.time() - t0, 3),
             }
@@ -515,7 +543,6 @@ def crawl(
     finally:
         seen.shutdown()
         politeness.shutdown()
-        ray.kill(stats_actor)
         if out_dir is None:
             shutil.rmtree(scratch, ignore_errors=True)
 

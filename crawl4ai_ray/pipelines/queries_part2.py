@@ -39,7 +39,6 @@ from ..functions import hashing
 from ..sources.pages import url_of
 from ..stages import ann, dedup, sampling, textstats
 from ..stages.extract import ExtractPages
-from ..state.politeness import PolitenessPool
 from .crawl import crawl
 from .extract_pipeline import extract_pipeline
 

@@ -1,12 +1,11 @@
-"""Frontier stages: simulated fetch (frontier ⋉ pages) and candidate-link
-discovery (explode → normalize → filter → score → dedup → seen-shard offer).
+"""Candidate-link discovery for the crawl wave: explode → normalize →
+filter → score → in-batch dedup → seen-shard offer.
 
-Fetch is a broadcast semi-join: the wave's frontier (bounded by the wave
-budget) is ``ray.put`` once as a url→(depth, parent, score) dict and each
-fetch task reads it from the object store (shared per node, zero re-ship per
-batch). At 10^10 frontier scale the same stage swaps to a hash-bucketed
-merge join on co-partitioned Parquet — the wave budget keeps the broadcast
-side bounded in practice (SURVEY.md §2.4).
+``DiscoverCandidates`` runs fused after extraction in each wave's Dataset
+pipeline. The batch flows through unchanged; its candidates (and its count
+of skipped links) go to the UrlSeenShard actors as a side effect. The fetch
+side of the wave is ``sources/bucketed.make_fetch_filter``: a plain-function
+``map_batches`` over the resident corpus, joined against the admitted slice.
 """
 
 from __future__ import annotations
@@ -14,59 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 from ..functions.filters import FilterChain, URLScorer
 from ..functions.urls import host_of, is_valid_crawl_url, normalize_url_for_deep_crawl
-
-
-class FetchFromCorpus:
-    """pages(url, html) ⋉ frontier → (url, html, depth, parent_url, score).
-
-    The offline analogue of the reference's fetch dispatch
-    (async_dispatcher.py:315-408): the corpus parquet is the "network".
-    Callable-class UDF so the broadcast dict is fetched once per worker.
-    """
-
-    def __init__(self, frontier_ref):
-        self.frontier = ray.get(frontier_ref)  # dict url -> (depth, parent, score)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        hits = [i for i, u in enumerate(urls) if u in self.frontier]
-        if not hits:
-            return batch.slice(0, 0).append_column(
-                "depth", pa.array([], pa.int32())
-            ).append_column("parent_url", pa.array([], pa.string())).append_column(
-                "score", pa.array([], pa.float64())
-            )
-        sub = batch.take(pa.array(hits, pa.int64()))
-        meta = [self.frontier[urls[i]] for i in hits]
-        return (
-            sub.append_column("depth", pa.array([m[0] for m in meta], pa.int32()))
-            .append_column("parent_url", pa.array([m[1] for m in meta], pa.string()))
-            .append_column("score", pa.array([m[2] for m in meta], pa.float64()))
-        )
-
-
-@ray.remote(num_cpus=0)
-class DiscoveryStats:
-    """Tiny counter actor: per-wave discovery/filter telemetry that survives
-    passthrough fusing (r1 ADVICE: manifests carried always-zero counters)."""
-
-    def __init__(self):
-        self.n_candidates = 0
-        self.n_skipped = 0
-
-    def add(self, n_candidates: int, n_skipped: int) -> None:
-        self.n_candidates += int(n_candidates)
-        self.n_skipped += int(n_skipped)
-
-    def read_and_reset(self) -> dict:
-        out = {"n_candidates": self.n_candidates, "n_skipped": self.n_skipped}
-        self.n_candidates = 0
-        self.n_skipped = 0
-        return out
 
 
 class DiscoverCandidates:
@@ -75,9 +23,11 @@ class DiscoverCandidates:
     Mirrors BFSDeepCrawlStrategy.link_discovery (bfs_strategy.py:68-140):
     per link — seen-key normalization, validity gate, FilterChain,
     scorer, score_threshold — then an in-batch partial dedup (keep max
-    score) before scattering to the UrlSeenShard actors. Emits per-batch
-    discovery stats as its output batch (tiny), or — in passthrough mode —
-    reports them to a DiscoveryStats actor (fire-and-forget RPC).
+    score) before scattering to the UrlSeenShard actors. The batch's count
+    of skipped links rides on the same offer RPC. Offering is idempotent
+    (deterministic canonical pick), so Ray task retries keep the crawl
+    order; only the wave's discovery counters could count a retried batch
+    twice. Returns the batch unchanged.
     """
 
     def __init__(
@@ -88,8 +38,6 @@ class DiscoverCandidates:
         score_threshold: float | None = None,
         include_external: bool = False,
         max_depth: int = 3,
-        passthrough: bool = False,
-        stats_actor=None,
     ):
         self.seen = seen_set
         self.filter_chain = filter_chain
@@ -97,12 +45,6 @@ class DiscoverCandidates:
         self.score_threshold = score_threshold
         self.include_external = include_external
         self.max_depth = max_depth
-        # passthrough=True fuses discovery into the extract pipeline: the
-        # batch flows through unchanged while candidates are offered to the
-        # shards as a side effect. Offering is idempotent (deterministic
-        # canonical pick), so Ray task retries are safe.
-        self.passthrough = passthrough
-        self.stats_actor = stats_actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         src_urls = batch.column("url").to_pylist()
@@ -166,23 +108,13 @@ class DiscoverCandidates:
             ):
                 best[u] = i
         idx = sorted(best.values())
-        if idx:
+        if idx or n_skipped:
             self.seen.offer_candidates(
                 [cand_url[i] for i in idx],
                 [cand_host[i] for i in idx],
                 [cand_depth[i] for i in idx],
                 [cand_parent[i] for i in idx],
                 [float(scores[i]) for i in idx],
+                n_skipped,
             )
-        if self.passthrough:
-            if self.stats_actor is not None:
-                # fire-and-forget; counters are advisory telemetry (a Ray
-                # task retry may double-count a batch — manifest-only data)
-                self.stats_actor.add.remote(len(idx), n_skipped)
-            return batch
-        return pa.table(
-            {
-                "n_candidates": pa.array([len(idx)], pa.int64()),
-                "n_skipped": pa.array([n_skipped], pa.int64()),
-            }
-        )
+        return batch

@@ -21,6 +21,9 @@ _SPLITMIX_C1 = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_C2 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_C3 = np.uint64(0x94D049BB133111EB)
 
+# set bits of every byte value: popcount without np.bitwise_count (numpy ≥ 2.0)
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (public domain algorithm)."""
@@ -79,9 +82,7 @@ class BloomFilter:
     # -- metrics / persistence --------------------------------------------
     def estimated_cardinality(self) -> float:
         """Fill-ratio estimator n̂ = -(m/k)·ln(1 - X/m) (crazy.py:140-158)."""
-        set_bits = int(np.bitwise_count(self.words).sum()) if hasattr(np, "bitwise_count") else int(
-            sum(bin(int(w)).count("1") for w in self.words)
-        )
+        set_bits = int(_BYTE_POPCOUNT[self.words.view(np.uint8)].sum(dtype=np.int64))
         if set_bits == 0:
             return 0.0
         if set_bits >= self.num_bits:

@@ -158,17 +158,17 @@ class FrontierStore:
         if n == 0:
             return 0
         self._count += n
-        add = ray.data.read_parquet(paths).map_batches(
-            conform_frontier, batch_format="pyarrow"
-        )
-        if self._ds is not None:
-            self._ds = self._ds.union(add)
-        elif self._count > self.small_threshold:
-            self._to_dataset_mode()
-            self._ds = self._ds.union(add)
-        else:
+        if self._ds is None and self._count <= self.small_threshold:
             tbls = [conform_frontier(pq.read_table(p)) for p in paths]
             self._table = pa.concat_tables([self._table, *tbls])
+            return n
+        if self._ds is None:
+            self._to_dataset_mode()
+        self._ds = self._ds.union(
+            ray.data.read_parquet(paths).map_batches(
+                conform_frontier, batch_format="pyarrow"
+            )
+        )
         return n
 
     def _to_dataset_mode(self) -> None:
@@ -381,12 +381,20 @@ class FrontierStore:
             shutil.rmtree(path, ignore_errors=True)
             os.makedirs(path, exist_ok=True)
             self._ds.map_batches(_drop_negeff, batch_format="pyarrow").write_parquet(path)
-            self._ds = ray.data.read_parquet(path)
             # refresh the exact count from the written files (cheap metadata)
-            self._count = sum(
-                pq.read_metadata(os.path.join(path, f)).num_rows
-                for f in os.listdir(path)
+            # and read back only the parts that hold rows: Ray's size
+            # estimate over row-less parts averages an empty array
+            rows = {
+                os.path.join(path, f): pq.read_metadata(os.path.join(path, f)).num_rows
+                for f in sorted(os.listdir(path))
                 if f.endswith(".parquet")
+            }
+            parts = [p for p, n in rows.items() if n]
+            self._count = sum(rows.values())
+            self._ds = (
+                ray.data.read_parquet(parts)
+                if parts
+                else ray.data.from_arrow(empty_frontier())
             )
             return path
         if path is not None:

@@ -57,7 +57,8 @@ class UrlSeenShard:
     a wave's candidate links for this hash range; ``finalize_wave`` picks a
     deterministic canonical row per unique unseen url (max score, then min
     parent), marks them seen (the reference marks visited at discovery,
-    before any capacity trim — bfs_strategy.py:113-122), and returns them.
+    before any capacity trim — bfs_strategy.py:113-122), and spills them to
+    parquet.
     Routing by hash(url_norm) means the dedup "groupby" needs no extra
     shuffle: the seen-check and the dedup share one partitioning.
     """
@@ -83,10 +84,18 @@ class UrlSeenShard:
         self.exact: set[int] = set()  # 128-bit combined keys
         # wave accumulation: key128 -> (url_norm, host, depth, parent, score, h1)
         self.wave: dict[int, tuple] = {}
+        # wave discovery telemetry: candidate rows offered to this shard and
+        # links the offering batches skipped (invalid, filtered, low score)
+        self.n_offered = 0
+        self.n_skipped = 0
 
-    def offer(self, h1, h2, url_norms, hosts, depths, parents, scores) -> int:
+    def offer(self, h1, h2, url_norms, hosts, depths, parents, scores,
+              n_skipped: int) -> int:
         """Accumulate wave candidates (already partially deduped per batch).
-        Deterministic canonical pick regardless of arrival order."""
+        Deterministic canonical pick regardless of arrival order.
+        ``n_skipped`` is the offering batch's count of skipped links."""
+        self.n_offered += len(url_norms)
+        self.n_skipped += int(n_skipped)
         for a, b, u, ho, d, p, s in zip(h1, h2, url_norms, hosts, depths, parents, scores):
             k = (int(a) << 64) | int(b)
             cur = self.wave.get(k)
@@ -96,28 +105,25 @@ class UrlSeenShard:
                 self.wave[k] = cand
         return len(self.wave)
 
-    def finalize_wave(self, out_path: str | None = None, enqueued_wave: int = 0):
-        """Seen-anti-join the accumulated wave, mark new urls seen, return
-        the canonical new candidates as arrays (sorted by url for
-        determinism). Clears the accumulator.
-
-        With ``out_path`` set, the shard writes its partition straight to
-        parquet (FRONTIER_SCHEMA) and returns only the row count — the
-        new-frontier rows never touch the driver (north-rule scale path)."""
-        if not self.wave:
-            return None
+    def finalize_wave(self, out_path: str, enqueued_wave: int) -> dict:
+        """Seen-anti-join the accumulated wave, mark new urls seen, and
+        write the canonical new candidates (sorted by url for determinism)
+        to ``out_path`` as FRONTIER_SCHEMA parquet, so the new-frontier rows
+        never touch the driver. Clears the accumulator and the discovery
+        counters; the one reply carries the new-row count, the counters and
+        the shard's ``stats()``."""
         items = sorted(self.wave.items(), key=lambda kv: kv[1][0])  # by url_norm
-        self.wave = {}
         new = [(k, v) for k, v in items if k not in self.exact]
-        if not new:
-            return None
-        h1 = np.fromiter((v[5] for _, v in new), dtype=np.uint64, count=len(new))
-        self._filter_add(h1)
-        self.exact.update(k for k, _ in new)
-        if out_path is not None:
+        out = {"new": len(new), "offered": self.n_offered, "skipped": self.n_skipped}
+        self.wave = {}
+        self.n_offered = self.n_skipped = 0
+        if new:
             import pyarrow as pa
             import pyarrow.parquet as pq
 
+            h1 = np.fromiter((v[5] for _, v in new), dtype=np.uint64, count=len(new))
+            self._filter_add(h1)
+            self.exact.update(k for k, _ in new)
             tbl = pa.table(
                 {
                     "url_norm": pa.array([v[0] for _, v in new], pa.string()),
@@ -131,14 +137,8 @@ class UrlSeenShard:
                 }
             )
             pq.write_table(tbl, out_path)
-            return len(new)
-        return {
-            "url_norm": [v[0] for _, v in new],
-            "host": [v[1] for _, v in new],
-            "depth": [v[2] for _, v in new],
-            "parent_url": [v[3] for _, v in new],
-            "score": [v[4] for _, v in new],
-        }
+        out["stats"] = self.stats()
+        return out
 
     def check(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """True where the key was already seen. Read-only."""
@@ -343,17 +343,20 @@ class SeenSet:
         keys = list(keys)
         return hash64(keys), hash64_alt(keys)
 
-    def offer_candidates(self, url_norms, hosts, depths, parents, scores) -> None:
+    def offer_candidates(self, url_norms, hosts, depths, parents, scores,
+                         n_skipped: int) -> None:
         """Partition one batch of candidates across shards (used inside
-        map_batches tasks; blocks until the shards acked)."""
+        map_batches tasks; blocks until the shards acked). The batch's
+        ``n_skipped`` rides on its first offer (on shard 0 when the batch
+        has no candidates), so the counts reach ``finalize_wave`` exactly."""
         h1, h2 = self._as_hashes(url_norms)
         shard_ids = self._route(h1)
-        refs = []
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx) == 0:
-                continue
-            refs.append(
+        groups = [(s, np.nonzero(shard_ids == s)[0]) for s in range(self.num_shards)]
+        groups = [(s, idx) for s, idx in groups if len(idx)]
+        if not groups and n_skipped:
+            groups = [(0, np.zeros(0, np.int64))]
+        ray.get(
+            [
                 self.shards[s].offer.remote(
                     h1[idx],
                     h2[idx],
@@ -362,18 +365,21 @@ class SeenSet:
                     [int(depths[i]) for i in idx],
                     [parents[i] for i in idx],
                     [float(scores[i]) for i in idx],
+                    n_skipped if j == 0 else 0,
                 )
-            )
-        ray.get(refs)
+                for j, (s, idx) in enumerate(groups)
+            ]
+        )
 
-    def finalize_wave(self) -> list[dict]:
-        """Gather each shard's canonical new candidates (marks them seen)."""
-        res = ray.get([s.finalize_wave.remote() for s in self.shards])
-        return [r for r in res if r is not None]
-
-    def finalize_wave_parquet(self, spill_dir: str, enqueued_wave: int) -> list[str]:
+    def finalize_wave_parquet(
+        self, spill_dir: str, enqueued_wave: int
+    ) -> tuple[list[str], dict]:
         """Shard-parallel finalize with direct-to-parquet spill: each shard
-        writes its own partition file; the driver only sees paths + counts."""
+        writes its own partition file; the driver only sees paths + counts.
+        Returns the written paths and the wave's totals:
+        ``candidates_offered``, ``candidates_skipped`` and ``seen`` (the
+        same figures as ``stats()``, taken after the wave's urls were
+        marked)."""
         import os
 
         os.makedirs(spill_dir, exist_ok=True)
@@ -387,15 +393,22 @@ class SeenSet:
                 for s, p in zip(self.shards, paths)
             ]
         )
-        return [p for p, n in zip(paths, res) if n]
+        totals = {
+            "candidates_offered": sum(r["offered"] for r in res),
+            "candidates_skipped": sum(r["skipped"] for r in res),
+            "seen": self._merge_stats([r["stats"] for r in res]),
+        }
+        return [p for p, r in zip(paths, res) if r["new"]], totals
 
-    def stats(self) -> dict:
-        per = ray.get([s.stats.remote() for s in self.shards])
+    def _merge_stats(self, per: list[dict]) -> dict:
         return {
             "num_shards": self.num_shards,
             "exact_size": sum(p["exact_size"] for p in per),
             "bloom_estimate": sum(p["bloom_estimate"] for p in per),
         }
+
+    def stats(self) -> dict:
+        return self._merge_stats(ray.get([s.stats.remote() for s in self.shards]))
 
     def dump_all(self) -> list[bytes]:
         return ray.get([s.dump.remote() for s in self.shards])

@@ -306,3 +306,47 @@ def test_cuckoo_seen_filter_crawl_parity(ray_session, bfs_run):
         run.waves[-1]["seen"]["exact_size"]
         == bfs_run.waves[-1]["seen"]["exact_size"]
     )
+
+
+def test_wave_discovery_counters_repeat_and_reconcile(ray_session):
+    """The per-wave discovery counters come back with each wave's shard
+    finalize: two identical crawls report identical counters, and every
+    url marked seen is a seed or one of some wave's new urls."""
+    from crawl4ai_ray.functions.filters import DomainFilter, FilterChain
+
+    def counters():
+        cfg = CrawlConfig(
+            max_depth=3,
+            seen_shards=4,
+            filter_chain=FilterChain([DomainFilter(blocked_domains=["site3.example.com"])]),
+        )
+        run = crawl(SF, seeds=SEEDS, cfg=cfg)
+        keys = ("candidates_offered", "candidates_skipped", "new_urls")
+        return run, [tuple(w[k] for k in keys) for w in run.waves]
+
+    run1, c1 = counters()
+    _, c2 = counters()
+    assert c1 == c2
+    assert sum(c[1] for c in c1) > 0  # the blocked host's links are skipped
+    assert sum(c[2] for c in c1) + len(SEEDS) == run1.waves[-1]["seen"]["exact_size"]
+
+
+def test_checkpointed_crawl_matches_in_memory(ray_session, bfs_run, tmp_path):
+    """Writing each wave's docs straight to parquet crawls the same pages
+    in the same order as holding them materialized."""
+    cfg = CrawlConfig(max_depth=3, seen_shards=4)
+    run = crawl(SF, seeds=SEEDS, cfg=cfg, out_dir=str(tmp_path / "ck"))
+    assert run.crawl_order == bfs_run.crawl_order
+    assert run.pages_crawled == bfs_run.pages_crawled
+    assert run.docs_dataset().count() == bfs_run.docs_dataset().count()
+
+
+def test_crawl_starts_only_seen_shard_actors(ray_session, bfs_run):
+    """Politeness and discovery counters live in the driver and the seen
+    shards: a crawl starts exactly ``cfg.seen_shards`` actors."""
+    from ray._private import state
+
+    before = set(state.actors())
+    crawl(SF, seeds=SEEDS, cfg=CrawlConfig(max_depth=2, seen_shards=3))
+    new = [a for aid, a in state.actors().items() if aid not in before]
+    assert sorted(a["ActorClassName"] for a in new) == ["UrlSeenShard"] * 3

@@ -139,3 +139,18 @@ def test_pruned_pop_undershoot_falls_back(ray_session):
     a = fs.pop_wave(3_000, 1)
     b = ref.pop_wave(3_000, 1)
     assert a.equals(b)
+
+
+def test_dataset_mode_spill_reads_no_empty_parts(ray_session, tmp_path):
+    """Spilling a Dataset-mode store reads back only part files that hold
+    rows: row-less parts made Ray average an empty array (RuntimeWarning)."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        test_dataset_mode_count_and_push_parquet(ray_session, tmp_path)
+        fs = FrontierStore("bfs", spill_dir=str(tmp_path / "empty"), small_threshold=0)
+        fs.push(_mk_frontier(5))
+        fs.pop_wave(5, 0)
+        fs.spill()
+        assert len(fs) == 0 and fs.to_table().num_rows == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crawl4ai_ray.functions.hashing import hash64
 from crawl4ai_ray.state.bloom import BloomFilter, splitmix64
@@ -27,6 +29,34 @@ def test_bloom_cardinality_estimate():
     bf.add_hashes(hash64([str(i) for i in range(20_000)]))
     est = bf.estimated_cardinality()
     assert 18_000 < est < 22_000
+
+
+def test_bloom_popcount_matches_bit_strings():
+    """The byte-table popcount behind the cardinality estimate counts the
+    same set bits as ``bin(w).count("1")`` on an empty, a random and a full
+    filter."""
+    import math
+
+    def reference_estimate(bf):
+        set_bits = sum(bin(int(w)).count("1") for w in bf.words)
+        if set_bits == 0:
+            return 0.0
+        if set_bits >= bf.num_bits:
+            return float("inf")
+        return -(bf.num_bits / bf.num_hashes) * math.log(1 - set_bits / bf.num_bits)
+
+    empty = BloomFilter(capacity=5_000, error_rate=0.01)
+    rand = BloomFilter(capacity=5_000, error_rate=0.01)
+    rand.words = np.frombuffer(
+        np.random.RandomState(7).bytes(8 * len(rand.words)), dtype=np.uint64
+    ).copy()
+    full = BloomFilter(capacity=5_000, error_rate=0.01)
+    full.words[:] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    for bf in (empty, rand, full):
+        assert bf.estimated_cardinality() == reference_estimate(bf)
+    assert empty.estimated_cardinality() == 0.0
+    assert full.estimated_cardinality() == float("inf")
+    assert 0.0 < rand.estimated_cardinality() < float("inf")
 
 
 def test_bloom_roundtrip():
@@ -140,7 +170,7 @@ def test_seen_set_dump_load(ray_session):
 def test_politeness_admission_cap(ray_session):
     from crawl4ai_ray.state.politeness import PolitenessPool
 
-    pool = PolitenessPool(num_shards=2)
+    pool = PolitenessPool()
     try:
         hosts = ["a.com"] * 5 + ["b.com"] * 2
         mask = pool.admit(hosts, per_host_cap=3)
@@ -152,11 +182,28 @@ def test_politeness_admission_cap(ray_session):
         pool.shutdown()
 
 
+@given(
+    st.lists(st.sampled_from(["a.com", "b.com", "c.com", "d.com"]), max_size=60),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+@settings(max_examples=80, deadline=None)
+def test_politeness_admit_is_rank_below_cap(hosts, cap):
+    """A row is admitted iff its rank among its host's rows, in input
+    order, is below the cap; every admitted row is one fetch."""
+    from crawl4ai_ray.state.politeness import PolitenessPool
+
+    pool = PolitenessPool()
+    mask = pool.admit(hosts, per_host_cap=cap)
+    ranks = [hosts[:i].count(h) for i, h in enumerate(hosts)]
+    assert list(mask) == [cap is None or r < cap for r in ranks]
+    assert pool.stats()["total_fetched"] == int(mask.sum())
+
+
 def test_robots(ray_session):
     from crawl4ai_ray.state.politeness import PolitenessPool
 
     rules = {"a.com": "User-agent: *\nDisallow: /private/\n"}
-    pool = PolitenessPool(num_shards=2, robots_rules=rules)
+    pool = PolitenessPool(robots_rules=rules)
     try:
         hosts = ["a.com", "a.com", "b.com"]
         urls = [
