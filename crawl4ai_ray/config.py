@@ -133,18 +133,11 @@ class CrawlConfig:
     # (state/frontier_store.py)
     frontier_small_threshold: int = 200_000
     # execution sizing
+    # URL-seen partitions: the crawl hashes each candidate url into one of
+    # ``seen_shards`` partitions (h1 % seen_shards); each partition is
+    # reduced by one Ray task per wave and stored as its own sorted runs
+    # (state/seen.py). Crawl results do not depend on it.
     seen_shards: int = 16
-    # URL-seen approximate filter: "bloom" (append-only, cheapest writes)
-    # or "cuckoo" (deletable — recrawl/retraction via SeenSet.forget
-    # reclaims filter occupancy; state/cuckoo.py). Crawl RESULTS are
-    # identical under either (the exact 128-bit store arbitrates); their
-    # over-capacity behavior differs — a Bloom degrades fpp, a full
-    # cuckoo table is rebuilt at 2x from the exact store (an O(shard)
-    # rebuild pause, state/seen.py _filter_add). Size
-    # seen_capacity_per_shard to the expected unique urls / seen_shards
-    # to avoid rebuilds.
-    seen_filter: str = "bloom"
-    seen_capacity_per_shard: int = 1_000_000
     scrape_batch_size: int = 64
     # corpus source: when set, the crawl reads this bucketed layout's files
     # (sources/bucketed.py partition_corpus) instead of its ``pages``

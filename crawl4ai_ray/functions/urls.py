@@ -88,8 +88,10 @@ def normalize_url(
         and _CANONICAL_RE.match(href)
     ):
         return href  # already canonical; identical to the slow path's output
-    full_url = urljoin(base_url, href.strip())
-    parsed = urlparse(full_url)
+    try:
+        parsed = urlparse(urljoin(base_url, href.strip()))
+    except ValueError:  # unparseable, e.g. an unclosed IPv6 bracket
+        return None
 
     netloc = parsed.netloc.lower()
 
@@ -125,8 +127,10 @@ def normalize_url_for_deep_crawl(href: str, base_url: str) -> str | None:
         return None
     if _CANONICAL_RE.match(href) and not href.endswith("/"):
         return href  # canonical, no trailing slash → rstrip is a no-op
-    full_url = urljoin(base_url, href.strip())
-    parsed = urlparse(full_url)
+    try:
+        parsed = urlparse(urljoin(base_url, href.strip()))
+    except ValueError:  # unparseable, e.g. an unclosed IPv6 bracket
+        return None
     netloc = parsed.netloc.lower()
     query = parsed.query
     if query:

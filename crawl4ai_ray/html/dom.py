@@ -134,34 +134,36 @@ class Element:
 
     # -- serialization ----------------------------------------------------
     def serialize(self, keep_attrs=None) -> str:
+        """Depth-first over a stack of (close tag, children iterator)
+        pairs, so nesting depth is not bounded by the recursion limit. A
+        void element's children are not written."""
         out: list[str] = []
-        self._serialize_into(out, keep_attrs)
-        return "".join(out)
-
-    def _serialize_into(self, out: list, keep_attrs):
-        attrs = self.attrs
-        if keep_attrs is not None:
-            attrs = {k: v for k, v in attrs.items() if k in keep_attrs}
-        attr_s = "".join(
-            f' {k}="{escape(v, quote=True)}"' if v is not None else f" {k}"
-            for k, v in attrs.items()
-        )
-        if self.tag == "[doc]":
-            for c in self.children:
-                if isinstance(c, str):
-                    out.append(escape(c, quote=False))
-                else:
-                    c._serialize_into(out, keep_attrs)
-            return
-        out.append(f"<{self.tag}{attr_s}>")
-        if self.tag in VOID_TAGS:
-            return
-        for c in self.children:
-            if isinstance(c, str):
-                out.append(escape(c, quote=False))
+        append = out.append
+        stack = [("", iter((self,)))]
+        while stack:
+            close, children = stack[-1]
+            for c in children:
+                if type(c) is str:
+                    append(escape(c, quote=False))
+                    continue
+                if c.tag == "[doc]":
+                    stack.append(("", iter(c.children)))
+                    break
+                attrs = c.attrs
+                if keep_attrs is not None:
+                    attrs = {k: v for k, v in attrs.items() if k in keep_attrs}
+                attr_s = "".join(
+                    f' {k}="{escape(v, quote=True)}"' if v is not None else f" {k}"
+                    for k, v in attrs.items()
+                )
+                append(f"<{c.tag}{attr_s}>")
+                if c.tag not in VOID_TAGS:
+                    stack.append((f"</{c.tag}>", iter(c.children)))
+                    break
             else:
-                c._serialize_into(out, keep_attrs)
-        out.append(f"</{self.tag}>")
+                stack.pop()
+                append(close)
+        return "".join(out)
 
 
 class _DomBuilder(HTMLParser):

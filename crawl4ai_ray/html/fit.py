@@ -19,21 +19,32 @@ _FIT_KEEP_ATTRS = ("id", "class", "href", "src", "alt", "title", "name",
                    "property", "content", "width", "height")
 
 
-def _fit_serialize(el: Element, out: list[str], text_threshold: int):
-    if el.tag in _FIT_DROP_TAGS:
-        return
-    if el.tag != "[doc]":
-        attrs = {k: v for k, v in el.attrs.items() if k in _FIT_KEEP_ATTRS}
-        attr_s = "".join(f' {k}="{escape(v, quote=True)}"' for k, v in attrs.items())
-        out.append(f"<{el.tag}{attr_s}>")
-    for c in el.children:
-        if isinstance(c, str):
-            t = c if len(c) <= text_threshold else c[:text_threshold] + "..."
-            out.append(escape(t, quote=False))
+def _fit_serialize(root: Element, out: list[str], text_threshold: int):
+    """Depth-first over a stack of (close tag, children iterator) pairs, so
+    nesting depth is not bounded by the recursion limit."""
+    append = out.append
+    stack = [("", iter((root,)))]
+    while stack:
+        close, children = stack[-1]
+        for c in children:
+            if type(c) is str:
+                t = c if len(c) <= text_threshold else c[:text_threshold] + "..."
+                append(escape(t, quote=False))
+                continue
+            if c.tag in _FIT_DROP_TAGS:
+                continue
+            close_tag = ""
+            if c.tag != "[doc]":
+                attrs = {k: v for k, v in c.attrs.items() if k in _FIT_KEEP_ATTRS}
+                attr_s = "".join(f' {k}="{escape(v, quote=True)}"' for k, v in attrs.items())
+                append(f"<{c.tag}{attr_s}>")
+                if c.tag not in VOID_TAGS:
+                    close_tag = f"</{c.tag}>"
+            stack.append((close_tag, iter(c.children)))
+            break
         else:
-            _fit_serialize(c, out, text_threshold)
-    if el.tag != "[doc]" and el.tag not in VOID_TAGS:
-        out.append(f"</{el.tag}>")
+            stack.pop()
+            append(close)
 
 
 def fit_html_from_root(

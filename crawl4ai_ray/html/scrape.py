@@ -29,19 +29,25 @@ def page_text(el: Element) -> str:
         if t:
             lines.append(t)
 
-    def walk(node: Element):
-        for c in node.children:
-            if isinstance(c, str):
+    # depth-first over a stack of (children iterator, is block) pairs: a
+    # block element flushes before and after its content; the root counts
+    # as a block, so trailing inline text is flushed when the walk ends
+    stack = [(iter(el.children), True)]
+    while stack:
+        children, block = stack[-1]
+        for c in children:
+            if type(c) is str:
                 buf.append(c)
-            elif c.tag in BLOCK_TAGS:
+                continue
+            is_block = c.tag in BLOCK_TAGS
+            if is_block:
                 flush()
-                walk(c)
+            stack.append((iter(c.children), is_block))
+            break
+        else:
+            stack.pop()
+            if block:
                 flush()
-            else:
-                walk(c)
-
-    walk(el)
-    flush()
     return "\n".join(lines)
 
 _IMG_CLASSES_TO_SKIP = ("button", "icon", "logo")
@@ -279,39 +285,48 @@ def _should_drop(el: Element, cfg: ScrapeConfig) -> bool:
     return False
 
 
-def _clean_tree(el: Element, cfg: ScrapeConfig) -> bool:
-    """Recursively clean in place. Returns True if ``el`` should be kept.
+def _clean_tree(root: Element, cfg: ScrapeConfig) -> bool:
+    """Clean in place, children before parents. Returns True if ``root``
+    should be kept.
 
     Keep rule (content_scraping_strategy.py:824-833 semantics): an element
     survives if it contains an <a>/<img>/kept table, or its visible word
     count meets ``word_count_threshold``; attrs reduced to IMPORTANT_ATTRS
-    (+ data-* when keep_data_attributes).
+    (+ data-* when keep_data_attributes). The walk keeps a stack of (element,
+    children iterator, kept children) frames instead of recursing, so
+    nesting depth is not bounded by the recursion limit.
     """
-    if _should_drop(el, cfg):
+    if _should_drop(root, cfg):
         return False
-    kept_children = []
-    for c in el.children:
-        if isinstance(c, str):
-            kept_children.append(c)
-        elif _clean_tree(c, cfg):
-            kept_children.append(c)
-    el.children = kept_children
-    # attr whitelist
-    el.attrs = {
-        k: v
-        for k, v in el.attrs.items()
-        if k in IMPORTANT_ATTRS
-        or k in cfg.keep_attrs
-        or (cfg.keep_data_attributes and k.startswith("data-"))
-    }
-    if el.tag in ("a", "img", "br", "hr") or el.tag == "[doc]":
-        return True
-    has_media = any(
-        isinstance(c, Element) for c in el.children
-    )  # kept children already passed the rule
-    if has_media:
-        return True
-    return el.word_count() >= cfg.word_count_threshold
+    top: list = []  # receives root if it is kept
+    stack = [(root, iter(root.children), [])]
+    while stack:
+        el, children, kept = stack[-1]
+        for c in children:
+            if type(c) is str:
+                kept.append(c)
+            elif not _should_drop(c, cfg):
+                stack.append((c, iter(c.children), []))
+                break
+        else:
+            stack.pop()
+            el.children = kept
+            # attr whitelist
+            el.attrs = {
+                k: v
+                for k, v in el.attrs.items()
+                if k in IMPORTANT_ATTRS
+                or k in cfg.keep_attrs
+                or (cfg.keep_data_attributes and k.startswith("data-"))
+            }
+            if (
+                el.tag in ("a", "img", "br", "hr", "[doc]")
+                # kept children already passed the rule
+                or any(type(c) is not str for c in kept)
+                or el.word_count() >= cfg.word_count_threshold
+            ):
+                (stack[-1][2] if stack else top).append(el)
+    return bool(top)
 
 
 def scrape_page(url: str, html, cfg: ScrapeConfig | None = None) -> dict:
@@ -417,7 +432,9 @@ def scrape_page(url: str, html, cfg: ScrapeConfig | None = None) -> dict:
         if low.startswith(("mailto:", "tel:", "ftp:", "file:")):
             resolved = href
         else:
-            resolved = normalize_url(href, url)
+            # an href that does not parse stays a link, as written, so the
+            # crawl counts it as a skipped link; having no host, it is internal
+            resolved = normalize_url(href, url) or href.strip()
         if not resolved or resolved in seen_hrefs:
             continue
         seen_hrefs.add(resolved)

@@ -5,19 +5,21 @@ Ray-Data-native rebuild of the reference's deep-crawl strategies
 PriorityQueue becomes a FrontierStore — a parquet-backed Dataset with a
 distributed ``sort(keys).limit(budget)`` per wave (driver-side Arrow fast
 path below a size threshold; identical ordering, tested); the ``visited``
-set becomes the sharded Bloom+exact UrlSeenShard pool, whose
-``cfg.seen_shards`` actors are the only actors a crawl starts; the
-RateLimiter becomes a virtual-time host table held in the driver
-(state/politeness.py). Each wave is one streaming Dataset execution
+set becomes ``cfg.seen_shards`` hash partitions of sorted 128-bit key runs
+on disk (state/seen.py); the RateLimiter becomes a virtual-time host table
+held in the driver (state/politeness.py). A crawl starts no actors. Each
+wave is one streaming Dataset execution
 
-    pages ⋉ frontier → extract → discover candidates (offered to the shards)
+    pages ⋉ frontier → extract → discover candidates (written to the
+      wave's exchange dir, one Parquet file per seen partition)
     → sink: ``write_parquet`` to the wave's docs dir when checkpointing,
       else ``materialize`` (the docs stay in the object store)
 
-followed by one round trip to the shards
+followed by one plain Ray task per seen partition
 
-    → shard finalize (dedup + seen anti-join + mark, spilled to parquet;
-      the reply carries the wave's discovery counters and seen stats)
+    → reduce (canonical pick + anti-join against the partition's runs;
+      writes a delta run and the new frontier rows to parquet, and returns
+      the wave's discovery counters)
 
 and the driver-side steps
 
@@ -32,24 +34,26 @@ with optional queue aging (cfg.aging_rate — the reference dispatcher's
 −wait_time fairness boost, async_dispatcher.py:189-198).
 
 The driver only ever materializes the budget-bounded admitted slice of the
-frontier; new candidates flow shard → parquet → Dataset without touching
-the driver. The corpus is resolved once per crawl (the bucket files of
-``cfg.corpus_bucket_dir`` when set, else the sf_dir's pages or the given
-Dataset) and materialized into the object store; every wave then fetches
-with one plain-function ``map_batches`` that joins the resident blocks
-against the admitted slice (sources/bucketed.py ``make_fetch_filter``).
-The per-wave bucket-pruned read (``BucketedCorpus.fetch``) only pays once a
-corpus outgrows the object store, so the crawl does not use it.
+frontier; new candidates flow exchange file → reduce task → parquet →
+Dataset without touching the driver. The corpus is resolved once per crawl
+(the bucket files of ``cfg.corpus_bucket_dir`` when set, else the sf_dir's
+pages or the given Dataset) and materialized into the object store; every
+wave then fetches with one plain-function ``map_batches`` that joins the
+resident blocks against the admitted slice (sources/bucketed.py
+``make_fetch_filter``). The per-wave bucket-pruned read
+(``BucketedCorpus.fetch``) only pays once a corpus outgrows the object
+store, so the crawl does not use it.
 
 Determinism: every wave's membership and order is a pure function of the
-corpus + config (canonical dedup tie-breaks, sorted shard finalize, seeded
-virtual-time politeness) — this is the crawl-order parity surface.
+corpus + config (canonical dedup tie-breaks, url-sorted reduce output,
+seeded virtual-time politeness) — this is the crawl-order parity surface.
 
-Checkpointing: ``out_dir/wave=NNNN/`` holds docs parquet, the next
-frontier parquet, per-shard seen dumps and a manifest with lineage +
-filter/dedup/politeness metrics, written last and atomically;
-``resume_crawl`` restarts from the last wave whose manifest exists
-(SURVEY.md §4.2).
+Checkpointing: ``out_dir/wave=NNNN/`` holds docs parquet, the admitted
+frontier parquet, the pending frontier, the wave's seen delta runs
+(``seen/``) and a manifest with lineage + filter/dedup/politeness metrics
+and the run files that make up the seen set (``seen_runs``), written last
+and atomically; ``resume_crawl`` restarts from the last wave whose manifest
+exists and opens exactly the runs it lists (SURVEY.md §4.2).
 """
 
 from __future__ import annotations
@@ -192,6 +196,7 @@ class CrawlRun:
         self.docs_mats: list = []  # materialized per-wave docs when no out_dir
         self.pages_crawled = 0
         self.final_pending = None
+        # the final seen set, one ``SeenSet.dump_all`` payload per partition
         self.seen_payloads: list[bytes] | None = None
 
     @property
@@ -219,15 +224,14 @@ class CrawlRun:
 def _write_checkpoint(
     wave_dir: str, store: FrontierStore, seen: SeenSet, manifest: dict
 ) -> None:
-    """Persist a finished wave: the pending frontier, the seen-shard dumps,
-    then ``manifest.json`` last. ``resume_crawl`` counts a wave directory as
-    complete once its manifest exists, so the manifest is written to a
-    ``.tmp`` file and renamed into place: a torn write never looks complete."""
+    """Persist a finished wave: the pending frontier, then ``manifest.json``
+    with the seen set's run list (the runs themselves are already on disk).
+    ``resume_crawl`` counts a wave directory as complete once its manifest
+    exists, so the manifest is written to a ``.tmp`` file and renamed into
+    place: a torn write never looks complete."""
     os.makedirs(wave_dir, exist_ok=True)
     store.spill(os.path.join(wave_dir, "pending.parquet"))
-    for i, payload in enumerate(seen.dump_all()):
-        with open(os.path.join(wave_dir, f"seen_shard_{i:03d}.bloom"), "wb") as f:
-            f.write(payload)
+    manifest["seen_runs"] = seen.relative_runs(os.path.dirname(wave_dir))
     tmp = os.path.join(wave_dir, "manifest.json.tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f)
@@ -244,11 +248,15 @@ def crawl(
     seen_payloads: list[bytes] | None = None,
     start_wave: int = 0,
     pages_crawled0: int = 0,
+    seen_runs: list[list[str]] | None = None,
 ) -> CrawlRun:
     """Run a deterministic deep crawl over an offline pages corpus.
 
     ``pages``: a Dataset of (url, html, …) or an sf_dir path; ignored when
-    ``cfg.corpus_bucket_dir`` is set.
+    ``cfg.corpus_bucket_dir`` is set. A continued crawl passes its pending
+    frontier as ``pending0`` and its seen set either as ``seen_payloads``
+    (a previous ``run.seen_payloads``) or as ``seen_runs`` (a checkpoint's
+    run files, one list per partition).
     """
     cfg = cfg or CrawlConfig()
     # ---- the corpus: read once, resident in the object store for every wave
@@ -262,11 +270,7 @@ def crawl(
     corpus = pages.materialize()
     corpus_bytes = corpus.size_bytes()
 
-    seen = SeenSet(
-        num_shards=cfg.seen_shards,
-        capacity_per_shard=cfg.seen_capacity_per_shard,
-        approx_filter=cfg.seen_filter,
-    )
+    seen = SeenSet(num_shards=cfg.seen_shards, runs=seen_runs)
     politeness = PolitenessPool(
         base_delay=cfg.base_delay_s,
         max_delay=cfg.max_delay_s,
@@ -285,8 +289,9 @@ def crawl(
     )
 
     try:
-        if seen_payloads is not None:
-            seen.load_all(seen_payloads)
+        if seen_runs is not None or seen_payloads is not None:
+            if seen_payloads is not None:
+                seen.load_all(seen_payloads, os.path.join(scratch, "seen_loaded"))
             if pending0 is not None and pending0.num_rows:
                 if "enqueued_wave" not in pending0.column_names:
                     pending0 = pending0.append_column(
@@ -298,7 +303,7 @@ def crawl(
             seeds_tbl = _frontier_from_seeds(seeds)
             # the engine marks seeds visited up front (deterministic variant
             # of the reference's empty-start visited set, SURVEY.md §7.4)
-            seen.add(seeds_tbl.column("url_norm").to_pylist())
+            seen.add(seeds_tbl.column("url_norm"), os.path.join(scratch, "seen_seeds"))
             store.push(seeds_tbl)
 
         wave = start_wave
@@ -403,9 +408,13 @@ def crawl(
 
             frontier_urls = admitted.column("url_norm").to_pylist()
             t0 = time.time()
+            wave_dir = os.path.join(scratch, f"wave={wave:04d}")
+            exchange = os.path.join(wave_dir, "exchange")
+            # a torn earlier attempt at this wave may have left files
+            shutil.rmtree(exchange, ignore_errors=True)
 
             # ---- ONE fused streaming pipeline per wave: fetch ⋉ → extract →
-            # candidate discovery (side-effect into the seen shards) → sink.
+            # candidate discovery (side effect: the exchange files) → sink.
             # The fetch is a plain-function map_batches over the resident
             # corpus, joined against the admitted slice shipped as a
             # zero-copy plasma Arrow table (no per-wave actor pools).
@@ -423,7 +432,8 @@ def crawl(
                 )
                 .map_batches(
                     DiscoverCandidates(
-                        seen,
+                        exchange,
+                        cfg.seen_shards,
                         filter_chain=cfg.filter_chain,
                         scorer=cfg.url_scorer,
                         score_threshold=cfg.score_threshold,
@@ -439,9 +449,7 @@ def crawl(
             # column; otherwise the docs stay materialized in the object
             # store (budget-bounded, spillable) for ``run.docs_dataset()``
             if out_dir:
-                wave_dir = os.path.join(out_dir, f"wave={wave:04d}")
                 docs_dir = os.path.join(wave_dir, "docs")
-                # a torn earlier attempt at this wave may have left files
                 shutil.rmtree(docs_dir, ignore_errors=True)
                 os.makedirs(docs_dir)
                 docs.write_parquet(docs_dir)
@@ -470,11 +478,13 @@ def crawl(
                 [host_of(u) for u in frontier_urls], statuses
             )
 
-            # ---- shard finalize → parquet spill → frontier push (new
-            # candidate rows never route through the driver); the same
-            # reply carries the wave's discovery counters and seen stats
+            # ---- seen reduce → parquet spill → frontier push (new
+            # candidate rows never route through the driver); the reduce
+            # tasks also return the wave's discovery counters
             spill = os.path.join(scratch, "_newfront", f"wave={wave:04d}")
-            new_paths, found = seen.finalize_wave_parquet(spill, enqueued_wave=wave + 1)
+            new_paths, found = seen.finalize_wave_parquet(
+                spill, wave + 1, exchange, os.path.join(wave_dir, "seen")
+            )
             n_new = store.push_parquet(new_paths)
 
             try:
@@ -580,12 +590,12 @@ def resume_crawl(
     with open(os.path.join(wave_dir, "manifest.json")) as f:
         manifest = json.load(f)
     pending = _read_pending_checkpoint(os.path.join(wave_dir, "pending.parquet"))
-    payloads = []
-    i = 0
-    while os.path.exists(os.path.join(wave_dir, f"seen_shard_{i:03d}.bloom")):
-        with open(os.path.join(wave_dir, f"seen_shard_{i:03d}.bloom"), "rb") as f:
-            payloads.append(f.read())
-        i += 1
+    if "seen_runs" not in manifest:
+        raise ValueError(
+            f"{wave_dir}/manifest.json lists no seen runs (a checkpoint "
+            "written before the seen set was stored as runs)"
+        )
+    runs = [[os.path.join(out_dir, r) for r in part] for part in manifest["seen_runs"]]
     run = crawl(
         pages,
         seeds=[],
@@ -593,9 +603,9 @@ def resume_crawl(
         out_dir=out_dir,
         robots_rules=robots_rules,
         pending0=pending,
-        seen_payloads=payloads,
         start_wave=manifest["wave"] + 1,
         pages_crawled0=manifest["cumulative_pages"],
+        seen_runs=runs,
     )
     # include the already-completed waves' docs in the run view
     for d in waves:

@@ -1,6 +1,6 @@
 """Count-Min sketch frequency estimation over a Dataset string column.
 
-Completes the engine's sketch family (Bloom/cuckoo membership in
+Completes the engine's sketch family (Bloom membership in
 ``state/``, HLL cardinality and KLL quantiles in ``stages/sketch.py``)
 with the classic frequency sketch (Cormode & Muthukrishnan 2005,
 "An improved data stream summary: the count-min sketch and its

@@ -1,11 +1,14 @@
 """Candidate-link discovery for the crawl wave: explode → normalize →
-filter → score → in-batch dedup → seen-shard offer.
+filter → score → in-batch dedup → per-partition exchange files.
 
 ``DiscoverCandidates`` runs fused after extraction in each wave's Dataset
-pipeline. The batch flows through unchanged; its candidates (and its count
-of skipped links) go to the UrlSeenShard actors as a side effect. The fetch
-side of the wave is ``sources/bucketed.make_fetch_filter``: a plain-function
-``map_batches`` over the resident corpus, joined against the admitted slice.
+pipeline. The batch flows through unchanged; as a side effect its candidates
+(and its count of skipped links) are written to the wave's exchange
+directory, one Parquet file per seen-set partition — the map side of the
+seen anti-join that ``SeenSet.finalize_wave_parquet`` reduces after the
+execution (state/seen.py). The fetch side of the wave is
+``sources/bucketed.make_fetch_filter``: a plain-function ``map_batches`` over
+the resident corpus, joined against the admitted slice.
 """
 
 from __future__ import annotations
@@ -14,32 +17,36 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.filters import FilterChain, URLScorer
+from ..functions.hashing import hash64
 from ..functions.urls import host_of, is_valid_crawl_url, normalize_url_for_deep_crawl
+from ..state.seen import write_candidates
 
 
 class DiscoverCandidates:
-    """docs batch → candidate links offered to the seen shards.
+    """docs batch → candidate links written to the wave's exchange.
 
     Mirrors BFSDeepCrawlStrategy.link_discovery (bfs_strategy.py:68-140):
     per link — seen-key normalization, validity gate, FilterChain,
     scorer, score_threshold — then an in-batch partial dedup (keep max
-    score) before scattering to the UrlSeenShard actors. The batch's count
-    of skipped links rides on the same offer RPC. Offering is idempotent
-    (deterministic canonical pick), so Ray task retries keep the crawl
-    order; only the wave's discovery counters could count a retried batch
-    twice. Returns the batch unchanged.
+    score) before partitioning the rows on ``h1 % num_partitions`` into
+    ``exchange_dir``. The batch's count of skipped links rides in the
+    metadata of its first file. Files are named by a hash of the batch's
+    source urls, so a retried Ray task overwrites its own files and the
+    wave's crawl order and counters stay exact. Returns the batch unchanged.
     """
 
     def __init__(
         self,
-        seen_set,
+        exchange_dir: str,
+        num_partitions: int,
         filter_chain: FilterChain | None = None,
         scorer: URLScorer | None = None,
         score_threshold: float | None = None,
         include_external: bool = False,
         max_depth: int = 3,
     ):
-        self.seen = seen_set
+        self.exchange_dir = exchange_dir
+        self.num_partitions = num_partitions
         self.filter_chain = filter_chain
         self.scorer = scorer
         self.score_threshold = score_threshold
@@ -109,12 +116,16 @@ class DiscoverCandidates:
                 best[u] = i
         idx = sorted(best.values())
         if idx or n_skipped:
-            self.seen.offer_candidates(
-                [cand_url[i] for i in idx],
-                [cand_host[i] for i in idx],
-                [cand_depth[i] for i in idx],
-                [cand_parent[i] for i in idx],
-                [float(scores[i]) for i in idx],
-                n_skipped,
+            batch_id = format(int(hash64(["\n".join(src_urls)])[0]), "016x")
+            cand = pa.table(
+                {
+                    "url_norm": pa.array([cand_url[i] for i in idx], pa.string()),
+                    "host": pa.array([cand_host[i] for i in idx], pa.string()),
+                    "depth": pa.array([cand_depth[i] for i in idx], pa.int32()),
+                    "parent_url": pa.array([cand_parent[i] for i in idx], pa.string()),
+                    "score": pa.array(np.asarray(scores, np.float64)[idx], pa.float64()),
+                }
             )
+            write_candidates(self.exchange_dir, self.num_partitions, batch_id,
+                             cand, n_skipped)
         return batch

@@ -1,422 +1,351 @@
-"""Sharded URL-seen set: Bloom fast-path + 128-bit exact arbitration.
+"""URL-seen set: per-partition sorted runs of 128-bit hash keys, anti-joined
+once per wave by stateless Ray tasks.
 
 The reference keeps one in-process ``visited: Set[str]`` per deep crawl
-(bfs_strategy.py:105-121) and prototypes a Bloom filter for scale
-(deep_crawling/crazy.py). Here the seen set is S hash-partitioned
-``UrlSeenShard`` actors, each holding
+(bfs_strategy.py:105-121). Here a url's key is the pair (h1, h2) of two
+seeded FNV-1a-64 hashes (functions/hashing.hash64 / hash64_alt), 16 bytes a
+url, and the set is ``num_shards`` hash partitions (``h1 % num_shards``).
+Each partition is a list of Parquet *runs*: files of (h1, h2) uint64 pairs
+sorted by (h1, h2), pairwise disjoint, carrying ``hashing.HASH_SPEC`` in
+their schema metadata. Nothing lives in a process: the set is its run list.
 
-- a BloomFilter over the shard's primary key hashes (answers "definitely
-  new" without touching the exact store), and
-- an exact store keyed on a **128-bit combined key** — two seeded
-  FNV-1a-64 families (functions/hashing.hash64 / hash64_alt) — that
-  arbitrates Bloom positives.
+A wave is one batch anti-join (HERO-style: both sides partitioned on the
+same hash, sorted runs intersected locally), so there are no random point
+probes for a Bloom or cuckoo filter to speed up:
+
+- map side (``write_candidates``, called by stages/frontier.py inside the
+  wave's Ray Data execution): each batch writes its candidate rows to one
+  Parquet file per partition under the wave's exchange directory; the
+  batch's skipped-link count rides in one file's schema metadata. File
+  names are a hash of the batch's source urls, so a retried task overwrites
+  its own files and the wave's counters stay exact.
+- reduce side (``reduce_partition``, one plain ``ray.remote`` task per
+  partition, launched by ``SeenSet.finalize_wave_parquet``): the canonical
+  pick per key (max score, then min depth, then min parent), the anti-join
+  against the partition's runs (``np.searchsorted`` on h1, then h2 across
+  each run of equal h1), one sorted delta run of the new keys, and the new
+  frontier rows sorted by url. Once a partition holds more than
+  ``MAX_RUNS`` runs, its delta is written merged with them as one run.
+
+Checkpoints are the runs themselves: a wave writes its delta runs into its
+own directory, and the wave manifest lists each partition's run files
+(``SeenSet.relative_runs``). Resume opens exactly those files, so a torn
+wave's delta is never read. Opening a run checks its hash spec in the
+driver and raises ValueError on a mismatch, so a resume can never silently
+mix hash functions.
 
 Collision bound: for two INDEPENDENT ideal 64-bit hashes the birthday
 expectation at the north rule's 10^10 urls would be ~(10^10)^2 / 2^129 ≈
-1.5e-19 conflations. Our two families share the FNV multiplier and differ
-only in initial basis (hash64_alt seed derivation, hashing.ALT_SEED_XOR), so
-they are NOT provably independent and that figure is a heuristic, not a
-guarantee — no structural correlation is known for FNV-1a under distinct
-bases, but none is proven absent either (round-2 ADVICE). The practical
-claim: far fewer conflations than the handful expected from a single 64-bit
-key, at 16 bytes/url. We
-store 16 bytes/url instead of full url strings (10^10 urls ≈ 160 GB across
-the cluster, spillable; the Bloom keeps the common negative probe cheap).
-This is "exact up to 128-bit collisions"; byte-exact string arbitration
-would triple memory for no observable gain.
-
-Checkpoint dumps embed hashing.HASH_SPEC and fail loudly on mismatch, so a
-resume can never silently mix hash functions.
-
-Calls from inside map_batches tasks are plain actor RPCs — this is the one
-place the Dataset API can't express the semantics (shared mutable index),
-per SURVEY.md §2.3.
+1.5e-19 conflations. The two families share the FNV multiplier and differ
+only in initial basis (hashing.ALT_SEED_XOR), so they are NOT provably
+independent and that figure is a heuristic, not a guarantee. The practical
+claim: far fewer conflations than a single 64-bit key, at 16 bytes/url
+(10^10 urls ≈ 160 GB of runs across the cluster's storage). This is "exact
+up to 128-bit collisions"; byte-exact string arbitration would triple the
+bytes for no observable gain.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 
 from ..functions.hashing import HASH_SPEC, hash64, hash64_alt
 
+#: a partition whose run count would exceed this merges into one run
+MAX_RUNS = 8
 
-def _combine(h1: np.ndarray, h2: np.ndarray) -> list[int]:
-    """(uint64, uint64) → python int 128-bit keys."""
-    return [(int(a) << 64) | int(b) for a, b in zip(h1, h2)]
+_SPEC_KEY = b"hash_spec"
+_SKIPPED_KEY = b"n_skipped"
+RUN_SCHEMA = pa.schema(
+    [("h1", pa.uint64()), ("h2", pa.uint64())],
+    metadata={_SPEC_KEY: HASH_SPEC.encode()},
+)
+CANDIDATE_SCHEMA = pa.schema(
+    [
+        ("url_norm", pa.string()),
+        ("host", pa.string()),
+        ("depth", pa.int32()),
+        ("parent_url", pa.string()),
+        ("score", pa.float64()),
+        ("h1", pa.uint64()),
+        ("h2", pa.uint64()),
+    ]
+)
+_EMPTY = np.zeros(0, np.uint64)
 
 
-@ray.remote(num_cpus=0)  # lightweight state actor: never reserve CPUs —
-# reserving would deadlock placement on small sessions (probes are bursty
-# and short; at cluster scale, shard count is sized to nodes, not cores)
-class UrlSeenShard:
-    """One partition of the URL-seen set.
+def url_keys(urls) -> tuple[np.ndarray, np.ndarray]:
+    """The (h1, h2) seen keys of a batch of normalized urls (a list or an
+    Arrow string array)."""
+    if not isinstance(urls, (pa.Array, pa.ChunkedArray)):
+        urls = pa.array(list(urls), pa.string())
+    return hash64(urls), hash64_alt(urls)
 
-    Doubles as the per-wave candidate-dedup partition: ``offer`` accumulates
-    a wave's candidate links for this hash range; ``finalize_wave`` picks a
-    deterministic canonical row per unique unseen url (max score, then min
-    parent), marks them seen (the reference marks visited at discovery,
-    before any capacity trim — bfs_strategy.py:113-122), and spills them to
-    parquet.
-    Routing by hash(url_norm) means the dedup "groupby" needs no extra
-    shuffle: the seen-check and the dedup share one partitioning.
-    """
 
-    def __init__(self, capacity: int = 1_000_000, error_rate: float = 0.01,
-                 approx_filter: str = "bloom"):
-        # import inside actor; both filters expose add_hashes /
-        # contains_hashes / estimated_cardinality / to_bytes / from_bytes.
-        # "bloom" = append-only, cheapest writes (default crawl path);
-        # "cuckoo" = deletable (recrawl / retraction), ~80x lower fpp at
-        # ~2x the bytes/key (state/cuckoo.py docstring has the numbers).
-        if approx_filter == "cuckoo":
-            from .cuckoo import CuckooFilter
+def sort_keys(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.lexsort((h2, h1))
+    return h1[order], h2[order]
 
-            self.bloom = CuckooFilter(capacity)
-        elif approx_filter == "bloom":
-            from .bloom import BloomFilter
 
-            self.bloom = BloomFilter(capacity, error_rate)
-        else:
-            raise ValueError(f"unknown approx_filter {approx_filter!r}")
-        self.approx_filter = approx_filter
-        self.exact: set[int] = set()  # 128-bit combined keys
-        # wave accumulation: key128 -> (url_norm, host, depth, parent, score, h1)
-        self.wave: dict[int, tuple] = {}
-        # wave discovery telemetry: candidate rows offered to this shard and
-        # links the offering batches skipped (invalid, filtered, low score)
-        self.n_offered = 0
-        self.n_skipped = 0
+def contains(run_h1: np.ndarray, run_h2: np.ndarray,
+             q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """True where (q1, q2) is a key of the sorted run. Each probe finds its
+    run of equal h1 by binary search and compares h2 across that run; all
+    probes at once, without a per-row loop."""
+    lo = np.searchsorted(run_h1, q1, "left")
+    counts = np.searchsorted(run_h1, q1, "right") - lo
+    probe = np.repeat(np.arange(len(q1)), counts)
+    # position of each (probe, candidate) pair inside the run
+    step = np.arange(len(probe)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = np.repeat(lo, counts) + step
+    found = np.zeros(len(q1), dtype=bool)
+    found[probe[run_h2[pos] == q2[probe]]] = True
+    return found
 
-    def offer(self, h1, h2, url_norms, hosts, depths, parents, scores,
-              n_skipped: int) -> int:
-        """Accumulate wave candidates (already partially deduped per batch).
-        Deterministic canonical pick regardless of arrival order.
-        ``n_skipped`` is the offering batch's count of skipped links."""
-        self.n_offered += len(url_norms)
-        self.n_skipped += int(n_skipped)
-        for a, b, u, ho, d, p, s in zip(h1, h2, url_norms, hosts, depths, parents, scores):
-            k = (int(a) << 64) | int(b)
-            cur = self.wave.get(k)
-            # canonical: higher score wins, then smaller depth, then smaller parent
-            cand = (u, ho, int(d), p, float(s), int(a))
-            if cur is None or (-cand[4], cand[2], cand[3]) < (-cur[4], cur[2], cur[3]):
-                self.wave[k] = cand
-        return len(self.wave)
 
-    def finalize_wave(self, out_path: str, enqueued_wave: int) -> dict:
-        """Seen-anti-join the accumulated wave, mark new urls seen, and
-        write the canonical new candidates (sorted by url for determinism)
-        to ``out_path`` as FRONTIER_SCHEMA parquet, so the new-frontier rows
-        never touch the driver. Clears the accumulator and the discovery
-        counters; the one reply carries the new-row count, the counters and
-        the shard's ``stats()``."""
-        items = sorted(self.wave.items(), key=lambda kv: kv[1][0])  # by url_norm
-        new = [(k, v) for k, v in items if k not in self.exact]
-        out = {"new": len(new), "offered": self.n_offered, "skipped": self.n_skipped}
-        self.wave = {}
-        self.n_offered = self.n_skipped = 0
-        if new:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
+def _first_of_key(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """True at the first row of each key in key-sorted arrays."""
+    first = np.ones(len(h1), dtype=bool)
+    first[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
+    return first
 
-            h1 = np.fromiter((v[5] for _, v in new), dtype=np.uint64, count=len(new))
-            self._filter_add(h1)
-            self.exact.update(k for k, _ in new)
-            tbl = pa.table(
-                {
-                    "url_norm": pa.array([v[0] for _, v in new], pa.string()),
-                    "host": pa.array([v[1] for _, v in new], pa.string()),
-                    "depth": pa.array([v[2] for _, v in new], pa.int32()),
-                    "parent_url": pa.array([v[3] for _, v in new], pa.string()),
-                    "score": pa.array([v[4] for _, v in new], pa.float64()),
-                    "enqueued_wave": pa.array(
-                        [enqueued_wave] * len(new), pa.int32()
-                    ),
-                }
-            )
-            pq.write_table(tbl, out_path)
-        out["stats"] = self.stats()
-        return out
 
-    def check(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """True where the key was already seen. Read-only."""
-        maybe = self.bloom.contains_hashes(h1)
-        out = np.zeros(len(h1), dtype=bool)
-        idx = np.nonzero(maybe)[0]
-        for i in idx:  # bloom positives arbitrated against the 128-bit store
-            out[i] = ((int(h1[i]) << 64) | int(h2[i])) in self.exact
-        return out
-
-    def _filter_add(self, h1_new: np.ndarray) -> None:
-        """Insert into the approx filter, growing a full cuckoo table in
-        place: the exact store's 128-bit keys carry h1 in their high half,
-        so the shard can always rebuild a doubled table (a Bloom never
-        raises; review finding — over-capacity must degrade, not kill the
-        crawl)."""
-        from .cuckoo import CuckooFilter, CuckooFilterFull
-
-        while True:
-            try:
-                self.bloom.add_hashes(h1_new)
-                return
-            except CuckooFilterFull:
-                bigger = CuckooFilter(max(self.bloom.capacity * 2, 1024))
-                keys = np.fromiter(
-                    (k >> 64 for k in self.exact),
-                    dtype=np.uint64,
-                    count=len(self.exact),
-                )
-                bigger.add_hashes(keys)
-                self.bloom = bigger
-                # retry h1_new against the doubled table
-
-    def add(self, h1: np.ndarray, h2: np.ndarray) -> int:
-        """Mark keys seen; returns number newly added. Idempotent under
-        BOTH filters: only keys absent from the exact store touch the
-        approx filter — re-adding a seen url must never accumulate
-        duplicate cuckoo fingerprints (review finding: repeated adds of
-        the same batch previously filled the table to CuckooFilterFull)."""
-        keys = _combine(h1, h2)
-        new_idx = [i for i, k in enumerate(keys) if k not in self.exact]
-        if not new_idx:
-            return 0
-        self._filter_add(np.asarray(h1, dtype=np.uint64)[new_idx])
-        self.exact.update(keys[i] for i in new_idx)
-        return len(new_idx)
-
-    def check_and_add(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        seen = self.check(h1, h2)
-        new = ~seen
-        if new.any():
-            self.add(h1[new], h2[new])
-        return seen
-
-    def forget(self, h1: np.ndarray, h2: np.ndarray) -> int:
-        """Un-see keys (recrawl scheduling / retraction); returns how many
-        were actually present. Correct under BOTH filters: ``check``
-        arbitrates approx positives against the exact 128-bit store, so
-        removing the exact key suffices — a stale Bloom bit is harmless.
-        With the cuckoo filter the fingerprint is deleted too, reclaiming
-        occupancy (the capability the Bloom lacks)."""
-        removed = 0
-        present = np.zeros(len(h1), dtype=bool)
-        for i, k in enumerate(_combine(h1, h2)):
-            if k in self.exact:
-                self.exact.discard(k)
-                present[i] = True
-                removed += 1
-        if removed and self.approx_filter == "cuckoo":
-            self.bloom.delete_hashes(np.asarray(h1, dtype=np.uint64)[present])
-        return removed
-
-    def stats(self) -> dict:
-        return {
-            "exact_size": len(self.exact),
-            "bloom_estimate": self.bloom.estimated_cardinality(),
-            "bloom_bits": getattr(self.bloom, "num_bits",
-                                  getattr(self.bloom, "num_buckets", 0) * 4 * 16),
-        }
-
-    def dump(self) -> bytes:
-        """Checkpoint payload: hash-spec header + bloom bytes + sorted
-        128-bit exact keys (as h1,h2 uint64 pairs)."""
-        keys = sorted(self.exact)
-        h1 = np.fromiter((k >> 64 for k in keys), dtype=np.uint64, count=len(keys))
-        h2 = np.fromiter((k & 0xFFFFFFFFFFFFFFFF for k in keys), dtype=np.uint64, count=len(keys))
-        # the filter kind rides inside the spec header so a resume can
-        # never silently swap bloom<->cuckoo any more than it can swap
-        # hash functions
-        spec = f"{HASH_SPEC};filter={self.approx_filter}".encode("utf-8")
-        bloom_b = self.bloom.to_bytes()
-        return (
-            len(spec).to_bytes(2, "little")
-            + spec
-            + len(bloom_b).to_bytes(8, "little")
-            + bloom_b
-            + h1.tobytes()
-            + h2.tobytes()
+def _check_spec(schema: pa.Schema, where: str) -> None:
+    spec = (schema.metadata or {}).get(_SPEC_KEY, b"").decode("utf-8", "replace")
+    if spec != HASH_SPEC:
+        raise ValueError(
+            f"seen run {where} was written with hash spec {spec!r}, engine "
+            f"uses {HASH_SPEC!r} — refusing to resume with a mismatched hash "
+            "function (would silently re-crawl / skip urls)"
         )
 
-    def load(self, data: bytes) -> int:
-        from .bloom import BloomFilter
-        from .cuckoo import CuckooFilter
 
-        ns = int.from_bytes(data[0:2], "little")
-        spec = data[2 : 2 + ns].decode("utf-8")
-        hash_spec, _, filt = spec.partition(";filter=")
-        filt = filt or "bloom"  # pre-cuckoo dumps carried no filter tag
-        if hash_spec != HASH_SPEC:
-            raise ValueError(
-                f"seen-shard checkpoint was written with hash spec {hash_spec!r}, "
-                f"engine uses {HASH_SPEC!r} — refusing to resume with a "
-                "mismatched hash function (would silently re-crawl / skip urls)"
-            )
-        if filt != self.approx_filter:
-            raise ValueError(
-                f"seen-shard checkpoint holds a {filt!r} filter, shard was "
-                f"constructed with {self.approx_filter!r} — refusing to resume "
-                "with a mismatched filter structure"
-            )
-        off = 2 + ns
-        n = int.from_bytes(data[off : off + 8], "little")
-        off += 8
-        cls = CuckooFilter if filt == "cuckoo" else BloomFilter
-        self.bloom = cls.from_bytes(data[off : off + n])
-        off += n
-        rest = data[off:]
-        half = len(rest) // 2
-        h1 = np.frombuffer(rest[:half], dtype=np.uint64)
-        h2 = np.frombuffer(rest[half:], dtype=np.uint64)
-        self.exact = set(_combine(h1, h2))
-        return len(self.exact)
+def read_run(path: str) -> tuple[np.ndarray, np.ndarray]:
+    tbl = pq.read_table(path)
+    _check_spec(tbl.schema, path)
+    return (tbl.column("h1").to_numpy().astype(np.uint64, copy=False),
+            tbl.column("h2").to_numpy().astype(np.uint64, copy=False))
+
+
+def _run_table(h1: np.ndarray, h2: np.ndarray) -> pa.Table:
+    return pa.table([pa.array(h1, pa.uint64()), pa.array(h2, pa.uint64())],
+                    schema=RUN_SCHEMA)
+
+
+def write_run(path: str, h1: np.ndarray, h2: np.ndarray) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(_run_table(h1, h2), path)
+
+
+def _part_name(p: int) -> str:
+    return f"part-{p:03d}"
+
+
+def write_candidates(exchange_dir: str, num_partitions: int, batch_id: str,
+                     cand: pa.Table, n_skipped: int) -> None:
+    """Map side of the wave's exchange: one Parquet file per partition that
+    receives rows of ``cand`` (url_norm, host, depth, parent_url, score). The
+    batch's ``n_skipped`` rides in the metadata of its first file (an empty
+    partition-0 file when the batch has no candidates)."""
+    h1, h2 = url_keys(cand.column("url_norm"))
+    cand = cand.append_column("h1", pa.array(h1)).append_column("h2", pa.array(h2))
+    cand = cand.cast(CANDIDATE_SCHEMA)
+    part = (h1 % np.uint64(num_partitions)).astype(np.int64)
+    targets = np.unique(part).tolist() or [0]
+    for j, p in enumerate(targets):
+        tbl = cand.filter(pa.array(part == p))
+        if j == 0:
+            tbl = tbl.replace_schema_metadata({_SKIPPED_KEY: str(int(n_skipped)).encode()})
+        d = os.path.join(exchange_dir, _part_name(p))
+        os.makedirs(d, exist_ok=True)
+        pq.write_table(tbl, os.path.join(d, f"{batch_id}.parquet"))
+
+
+def reduce_partition(part_dir: str, runs: list[str], run_path: str,
+                     frontier_path: str, enqueued_wave: int) -> dict:
+    """Reduce side of one partition's wave exchange. Reads the candidate
+    files in ``part_dir``, picks one canonical row per key, anti-joins the
+    picks against ``runs`` and writes the new keys to ``run_path`` (merged
+    with ``runs`` once they would exceed MAX_RUNS) and the new rows, sorted
+    by url, to ``frontier_path``. Returns the counts and what was written."""
+    files = sorted(os.listdir(part_dir)) if os.path.isdir(part_dir) else []
+    tables = [pq.read_table(os.path.join(part_dir, f)) for f in files]
+    skipped = sum(int((t.schema.metadata or {}).get(_SKIPPED_KEY, 0)) for t in tables)
+    cand = pa.concat_tables(
+        [t.replace_schema_metadata(None) for t in tables]
+    ) if tables else CANDIDATE_SCHEMA.empty_table()
+    out = {"offered": cand.num_rows, "skipped": skipped, "new": 0,
+           "run": None, "run_rows": 0, "merged": False}
+    if cand.num_rows == 0:
+        return out
+    # canonical pick: the first row of each key in (key, -score, depth,
+    # parent) order
+    cand = cand.sort_by([("h1", "ascending"), ("h2", "ascending"),
+                         ("score", "descending"), ("depth", "ascending"),
+                         ("parent_url", "ascending")])
+    h1 = cand.column("h1").to_numpy()
+    h2 = cand.column("h2").to_numpy()
+    old = [read_run(p) for p in runs]
+    new = _first_of_key(h1, h2)
+    for r1, r2 in old:
+        new[new] = ~contains(r1, r2, h1[new], h2[new])
+    if not new.any():
+        return out
+    # the picks are sorted by key already, so the delta is a sorted run
+    d1, d2 = h1[new], h2[new]
+    merged = len(runs) + 1 > MAX_RUNS
+    if merged:
+        d1, d2 = sort_keys(np.concatenate([r[0] for r in old] + [d1]),
+                           np.concatenate([r[1] for r in old] + [d2]))
+    write_run(run_path, d1, d2)
+    rows = cand.filter(pa.array(new)).sort_by("url_norm")
+    rows = rows.select(["url_norm", "host", "depth", "parent_url", "score"])
+    rows = rows.append_column(
+        "enqueued_wave", pa.array(np.full(rows.num_rows, enqueued_wave, np.int32))
+    )
+    os.makedirs(os.path.dirname(frontier_path), exist_ok=True)
+    pq.write_table(rows, frontier_path)
+    out.update(new=rows.num_rows, run=run_path, run_rows=len(d1), merged=merged)
+    return out
+
+
+_reduce_task = ray.remote(reduce_partition)
 
 
 class SeenSet:
-    """Driver-side handle over the shard pool."""
+    """Driver-side handle: each partition's run files and their row counts.
 
-    def __init__(self, num_shards: int = 16, capacity_per_shard: int = 1_000_000,
-                 error_rate: float = 0.01, approx_filter: str = "bloom"):
+    ``runs`` opens an existing set (a resume): one list of run paths per
+    partition, each checked for the engine's hash spec.
+    """
+
+    def __init__(self, num_shards: int = 16, runs: list[list[str]] | None = None):
         self.num_shards = num_shards
-        self.shards = [
-            UrlSeenShard.remote(capacity_per_shard, error_rate, approx_filter)
-            for _ in range(num_shards)
-        ]
+        self.runs: list[list[str]] = [[] for _ in range(num_shards)]
+        self.sizes = [0] * num_shards
+        if runs is not None:
+            if len(runs) != num_shards:
+                raise ValueError(
+                    f"seen checkpoint has {len(runs)} partitions, the crawl "
+                    f"is configured with seen_shards={num_shards}"
+                )
+            for p, paths in enumerate(runs):
+                for path in paths:
+                    meta = pq.read_metadata(path)
+                    _check_spec(meta.schema.to_arrow_schema(), path)
+                    self.sizes[p] += meta.num_rows
+                self.runs[p] = list(paths)
 
-    def _route(self, h1: np.ndarray):
+    def _route(self, h1: np.ndarray) -> np.ndarray:
         return (h1 % np.uint64(self.num_shards)).astype(np.int64)
 
-    def _scatter_gather(self, h1, h2, method: str) -> np.ndarray:
-        """Partition a hash batch by shard, issue one RPC per shard, and
-        stitch results back into input order."""
-        if len(h1) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids = self._route(h1)
-        refs, idxs = [], []
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx) == 0:
-                continue
-            refs.append(getattr(self.shards[s], method).remote(h1[idx], h2[idx]))
-            idxs.append(idx)
-        out = np.zeros(len(h1), dtype=bool)
-        for idx, res in zip(idxs, ray.get(refs)):
-            if res is not None and not np.isscalar(res):
-                out[idx] = res
-        return out
-
-    def check(self, keys) -> np.ndarray:
-        return self._scatter_gather(*self._as_hashes(keys), "check")
-
-    def add(self, keys) -> None:
-        h1, h2 = self._as_hashes(keys)
-        if len(h1) == 0:
-            return
-        shard_ids = self._route(h1)
-        refs = []
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx):
-                refs.append(self.shards[s].add.remote(h1[idx], h2[idx]))
-        ray.get(refs)
-
-    def check_and_add(self, keys) -> np.ndarray:
-        return self._scatter_gather(*self._as_hashes(keys), "check_and_add")
-
-    def forget(self, keys) -> int:
-        """Un-see urls across shards (recrawl / retraction); returns the
-        number that were present."""
-        h1, h2 = self._as_hashes(keys)
-        if len(h1) == 0:
-            return 0
-        shard_ids = self._route(h1)
-        refs = []
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx):
-                refs.append(self.shards[s].forget.remote(h1[idx], h2[idx]))
-        return sum(ray.get(refs))
-
-    @staticmethod
-    def _as_hashes(keys) -> tuple[np.ndarray, np.ndarray]:
-        keys = list(keys)
-        return hash64(keys), hash64_alt(keys)
-
-    def offer_candidates(self, url_norms, hosts, depths, parents, scores,
-                         n_skipped: int) -> None:
-        """Partition one batch of candidates across shards (used inside
-        map_batches tasks; blocks until the shards acked). The batch's
-        ``n_skipped`` rides on its first offer (on shard 0 when the batch
-        has no candidates), so the counts reach ``finalize_wave`` exactly."""
-        h1, h2 = self._as_hashes(url_norms)
-        shard_ids = self._route(h1)
-        groups = [(s, np.nonzero(shard_ids == s)[0]) for s in range(self.num_shards)]
-        groups = [(s, idx) for s, idx in groups if len(idx)]
-        if not groups and n_skipped:
-            groups = [(0, np.zeros(0, np.int64))]
-        ray.get(
-            [
-                self.shards[s].offer.remote(
-                    h1[idx],
-                    h2[idx],
-                    [url_norms[i] for i in idx],
-                    [hosts[i] for i in idx],
-                    [int(depths[i]) for i in idx],
-                    [parents[i] for i in idx],
-                    [float(scores[i]) for i in idx],
-                    n_skipped if j == 0 else 0,
-                )
-                for j, (s, idx) in enumerate(groups)
-            ]
-        )
+    def add(self, keys, run_dir: str) -> None:
+        """Mark the crawl's seeds seen on an empty set: their distinct keys
+        become each partition's first run, in ``run_dir``."""
+        if any(self.runs):
+            raise ValueError("SeenSet.add marks seeds on an empty set only")
+        h1, h2 = sort_keys(*url_keys(keys))
+        first = _first_of_key(h1, h2)
+        h1, h2 = h1[first], h2[first]
+        part = self._route(h1)
+        for p in np.unique(part):
+            m = part == p
+            path = os.path.join(run_dir, f"{_part_name(p)}.parquet")
+            write_run(path, h1[m], h2[m])
+            self.runs[p] = [path]
+            self.sizes[p] = int(m.sum())
 
     def finalize_wave_parquet(
-        self, spill_dir: str, enqueued_wave: int
+        self, spill_dir: str, enqueued_wave: int, exchange_dir: str, run_dir: str
     ) -> tuple[list[str], dict]:
-        """Shard-parallel finalize with direct-to-parquet spill: each shard
-        writes its own partition file; the driver only sees paths + counts.
-        Returns the written paths and the wave's totals:
-        ``candidates_offered``, ``candidates_skipped`` and ``seen`` (the
-        same figures as ``stats()``, taken after the wave's urls were
-        marked)."""
-        import os
-
-        os.makedirs(spill_dir, exist_ok=True)
+        """Reduce the wave's exchange: one task per partition dedups and
+        anti-joins its candidates, writes its delta run to ``run_dir`` and
+        its new frontier rows to ``spill_dir``. The exchange directory is
+        removed afterwards. Returns the written frontier paths and the
+        wave's totals: ``candidates_offered``, ``candidates_skipped`` and
+        ``seen`` (``stats()`` after the wave's urls were marked)."""
+        shutil.rmtree(run_dir, ignore_errors=True)  # a torn earlier attempt
         paths = [
-            os.path.join(spill_dir, f"shard_{i:03d}.parquet")
-            for i in range(self.num_shards)
+            os.path.join(spill_dir, f"{_part_name(p)}.parquet")
+            for p in range(self.num_shards)
         ]
-        res = ray.get(
-            [
-                s.finalize_wave.remote(out_path=p, enqueued_wave=enqueued_wave)
-                for s, p in zip(self.shards, paths)
-            ]
-        )
+        res = ray.get([
+            _reduce_task.remote(
+                os.path.join(exchange_dir, _part_name(p)),
+                self.runs[p],
+                os.path.join(run_dir, f"{_part_name(p)}.parquet"),
+                paths[p],
+                enqueued_wave,
+            )
+            for p in range(self.num_shards)
+        ])
+        shutil.rmtree(exchange_dir, ignore_errors=True)
+        for p, r in enumerate(res):
+            if r["run"] is None:
+                continue
+            if r["merged"]:
+                self.runs[p], self.sizes[p] = [r["run"]], r["run_rows"]
+            else:
+                self.runs[p].append(r["run"])
+                self.sizes[p] += r["run_rows"]
         totals = {
             "candidates_offered": sum(r["offered"] for r in res),
             "candidates_skipped": sum(r["skipped"] for r in res),
-            "seen": self._merge_stats([r["stats"] for r in res]),
+            "seen": self.stats(),
         }
         return [p for p, r in zip(paths, res) if r["new"]], totals
 
-    def _merge_stats(self, per: list[dict]) -> dict:
-        return {
-            "num_shards": self.num_shards,
-            "exact_size": sum(p["exact_size"] for p in per),
-            "bloom_estimate": sum(p["bloom_estimate"] for p in per),
-        }
+    def relative_runs(self, root: str) -> list[list[str]]:
+        """Each partition's run paths relative to ``root`` (the manifest
+        form)."""
+        return [[os.path.relpath(p, root) for p in paths] for paths in self.runs]
 
     def stats(self) -> dict:
-        return self._merge_stats(ray.get([s.stats.remote() for s in self.shards]))
+        return {
+            "num_shards": self.num_shards,
+            "exact_size": sum(self.sizes),
+            "runs": sum(len(r) for r in self.runs),
+        }
 
     def dump_all(self) -> list[bytes]:
-        return ray.get([s.dump.remote() for s in self.shards])
+        """One self-contained payload per partition: its keys as one sorted
+        run, in Parquet bytes (``load_all`` reads them back)."""
+        out = []
+        for paths in self.runs:
+            runs = [read_run(path) for path in paths]
+            keys = sort_keys(np.concatenate([_EMPTY] + [r[0] for r in runs]),
+                             np.concatenate([_EMPTY] + [r[1] for r in runs]))
+            sink = pa.BufferOutputStream()
+            pq.write_table(_run_table(*keys), sink)
+            out.append(sink.getvalue().to_pybytes())
+        return out
 
-    def load_all(self, payloads: list[bytes]) -> None:
-        ray.get([s.load.remote(p) for s, p in zip(self.shards, payloads)])
+    def load_all(self, payloads: list[bytes], run_dir: str) -> None:
+        """Replace the set with ``dump_all`` payloads, written as one run per
+        partition in ``run_dir``."""
+        if len(payloads) != self.num_shards:
+            raise ValueError(
+                f"{len(payloads)} seen payloads for {self.num_shards} partitions"
+            )
+        metas = [pq.read_metadata(pa.BufferReader(payload)) for payload in payloads]
+        for p, meta in enumerate(metas):
+            _check_spec(meta.schema.to_arrow_schema(), f"payload {p}")
+        os.makedirs(run_dir, exist_ok=True)
+        for p, payload in enumerate(payloads):
+            path = os.path.join(run_dir, f"{_part_name(p)}.parquet")
+            with open(path, "wb") as f:
+                f.write(payload)
+            self.runs[p], self.sizes[p] = [path], metas[p].num_rows
 
-    def shutdown(self):
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+    def shutdown(self) -> None:
+        """Drop the run list. The set holds no processes; its files belong
+        to the directories the caller gave it."""
+        self.runs = [[] for _ in range(self.num_shards)]
+        self.sizes = [0] * self.num_shards

@@ -19,6 +19,18 @@ SF = "/root/testdata/sf0.001"
 SEEDS = [url_of(0), url_of(1), url_of(2)]
 
 
+def seen_keys(run) -> set[tuple[int, int]]:
+    """The final seen set of a crawl, as (h1, h2) keys."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    keys = set()
+    for payload in run.seen_payloads:
+        t = pq.read_table(pa.BufferReader(payload))
+        keys.update(zip(t.column("h1").to_pylist(), t.column("h2").to_pylist()))
+    return keys
+
+
 def reference_bfs(seed_ids, n, max_depth):
     """Pure-python level-synchronised BFS over the synthetic link graph —
     the conformance golden (children edges + per-page home link)."""
@@ -221,6 +233,8 @@ def test_checkpoint_resume(ray_session, tmp_path):
     full_urls = [u for w in full.waves for u in w["frontier_urls"]]
     resumed_urls = [u for w in resumed.waves for u in w["frontier_urls"]]
     assert full.waves[0]["frontier_urls"] + resumed_urls == full_urls
+    assert seen_keys(resumed) == seen_keys(full)
+    assert len(seen_keys(full)) == full.waves[-1]["seen"]["exact_size"]
     assert os.path.exists(os.path.join(out1, "wave=0000", "manifest.json"))
     assert os.path.exists(os.path.join(out1, "wave=0000", "docs"))
 
@@ -245,6 +259,38 @@ def test_resume_skips_torn_manifest(ray_session, tmp_path):
     resumed_urls = [u for w in resumed.waves for u in w["frontier_urls"]]
     assert resumed.waves[0]["wave"] == 1
     assert full.waves[0]["frontier_urls"] + resumed_urls == full_urls
+    assert seen_keys(resumed) == seen_keys(full)
+
+
+def test_resume_ignores_torn_wave_seen_runs(ray_session, tmp_path):
+    """A wave directory holding seen delta runs and docs but no manifest adds
+    nothing to the resumed seen set: resume opens only the runs the last
+    complete manifest lists."""
+    import shutil
+
+    from crawl4ai_ray.state.seen import url_keys, write_run
+
+    cfg = CrawlConfig(max_depth=2, seen_shards=2)
+    full = crawl(SF, seeds=SEEDS, cfg=cfg, out_dir=str(tmp_path / "full"))
+    out = str(tmp_path / "cut")
+    w0 = full.waves[0]["frontier_size"]
+    crawl(SF, seeds=SEEDS, cfg=CrawlConfig(max_depth=2, seen_shards=2, max_pages=w0),
+          out_dir=out)
+    # wave 1 ran to its seen reduce and docs write, then died before its
+    # manifest; its seen dir also holds a run of a url no page links to
+    torn = os.path.join(out, "wave=0001")
+    for d in ("seen", "docs"):
+        shutil.copytree(os.path.join(tmp_path, "full", "wave=0001", d), os.path.join(torn, d))
+    stray = "https://stray.example.com/never-linked"
+    write_run(os.path.join(torn, "seen", "stray.parquet"), *url_keys([stray]))
+    resumed = resume_crawl(SF, cfg, out)
+    assert resumed.waves[0]["wave"] == 1
+    assert full.waves[0]["frontier_urls"] + [
+        u for w in resumed.waves for u in w["frontier_urls"]
+    ] == [u for w in full.waves for u in w["frontier_urls"]]
+    assert seen_keys(resumed) == seen_keys(full)
+    h1, h2 = url_keys([stray])
+    assert (int(h1[0]), int(h2[0])) not in seen_keys(resumed)
 
 
 def test_duplicate_seeds_crawl_once(ray_session):
@@ -292,20 +338,7 @@ def test_checkpoint_resume_dataset_mode_and_strategies(ray_session, tmp_path):
         full_urls = [u for w in full.waves for u in w["frontier_urls"]]
         resumed_urls = [u for w in resumed.waves for u in w["frontier_urls"]]
         assert full.waves[0]["frontier_urls"] + resumed_urls == full_urls, strategy
-
-
-def test_cuckoo_seen_filter_crawl_parity(ray_session, bfs_run):
-    """Swapping the URL-seen approx filter (bloom → cuckoo) must not change
-    crawl semantics at all: identical wave count, crawl order, and final
-    seen size — the exact 128-bit store arbitrates under both filters."""
-    cfg = CrawlConfig(max_depth=3, seen_shards=4, seen_filter="cuckoo")
-    run = crawl(SF, seeds=SEEDS, cfg=cfg)
-    assert len(run.waves) == len(bfs_run.waves)
-    assert run.crawl_order == bfs_run.crawl_order
-    assert (
-        run.waves[-1]["seen"]["exact_size"]
-        == bfs_run.waves[-1]["seen"]["exact_size"]
-    )
+        assert seen_keys(resumed) == seen_keys(full), strategy
 
 
 def test_wave_discovery_counters_repeat_and_reconcile(ray_session):
@@ -341,12 +374,42 @@ def test_checkpointed_crawl_matches_in_memory(ray_session, bfs_run, tmp_path):
     assert run.docs_dataset().count() == bfs_run.docs_dataset().count()
 
 
-def test_crawl_starts_only_seen_shard_actors(ray_session, bfs_run):
-    """Politeness and discovery counters live in the driver and the seen
-    shards: a crawl starts exactly ``cfg.seen_shards`` actors."""
+def test_crawl_starts_no_actors(ray_session, bfs_run, tmp_path):
+    """Politeness lives in the driver and the seen set in files reduced by
+    plain tasks: a crawl starts no actors, and a checkpointed one writes no
+    per-wave seen dump, only each wave's delta runs."""
     from ray._private import state
 
     before = set(state.actors())
-    crawl(SF, seeds=SEEDS, cfg=CrawlConfig(max_depth=2, seen_shards=3))
-    new = [a for aid, a in state.actors().items() if aid not in before]
-    assert sorted(a["ActorClassName"] for a in new) == ["UrlSeenShard"] * 3
+    out = str(tmp_path / "ck")
+    run = crawl(SF, seeds=SEEDS, cfg=CrawlConfig(max_depth=2, seen_shards=3), out_dir=out)
+    assert [a for aid, a in state.actors().items() if aid not in before] == []
+    assert not [f for d, _, fs in os.walk(out) for f in fs if f.endswith(".bloom")]
+    assert not os.path.exists(os.path.join(out, "wave=0000", "exchange"))
+    # every run file a manifest lists exists, and they hold the seen set
+    import json
+
+    manifest = json.load(open(os.path.join(out, f"wave={len(run.waves) - 1:04d}", "manifest.json")))
+    runs = [r for part in manifest["seen_runs"] for r in part]
+    assert len(manifest["seen_runs"]) == 3 and runs
+    assert all(os.path.exists(os.path.join(out, r)) for r in runs)
+
+
+def test_malformed_href_is_a_skipped_link(ray_session):
+    """A page whose link cannot be parsed (``http://[::1``) is crawled; its
+    wave completes and counts the link in ``candidates_skipped``."""
+    import ray
+
+    html = ("<html><body><p>hello world</p><a href='http://[::1'>x</a>"
+            "<a href='/page/2'>ok</a></body></html>")
+    pages = ray.data.from_items([
+        {"url": "https://site1.example.com/page/1", "html": html},
+        {"url": "https://site1.example.com/page/2", "html": "<html><body>two</body></html>"},
+    ])
+    run = crawl(pages, seeds=["https://site1.example.com/page/1"],
+                cfg=CrawlConfig(max_depth=1, seen_shards=2))
+    assert [u for u, _ in run.crawl_order] == [
+        "https://site1.example.com/page/1", "https://site1.example.com/page/2"
+    ]
+    assert run.waves[0]["candidates_skipped"] == 1
+    assert run.waves[0]["new_urls"] == 1

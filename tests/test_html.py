@@ -1,6 +1,8 @@
 """HTML engine tests: scraping semantics, markdown determinism (the
 byte-identity anchor), metadata/table/image extraction."""
 
+import pytest
+
 from crawl4ai_ray.config import ScrapeConfig
 from crawl4ai_ray.html.dom import parse_html
 from crawl4ai_ray.html.fit import preprocess_html_for_schema
@@ -296,3 +298,63 @@ def test_keep_attrs():
     r = scrape_page(URL, html, ScrapeConfig(keep_attrs=("id", "role")))
     assert 'id="main"' in r["cleaned_html"]
     assert 'role="note"' in r["cleaned_html"]
+
+
+@pytest.mark.parametrize("depth", [1_000, 20_000])
+def test_fit_html_deep_nesting(depth):
+    """fit_html walks the tree with an explicit stack: nesting depth is not
+    bounded by the interpreter's recursion limit."""
+    fit = preprocess_html_for_schema("<div>" * depth + "x")
+    assert fit == "<div>" * depth + "x" + "</div>" * depth
+
+
+def test_tree_walkers_deep_nesting():
+    """The scrape stage's other tree walkers (cleaning, serialization,
+    block text) take 20,000 nested elements without recursing."""
+    from crawl4ai_ray.html.scrape import _clean_tree, page_text
+
+    depth = 20_000
+    root = parse_html("<div>" * depth + "<p>deep words</p>" + "</div>" * depth)
+    assert _clean_tree(root, ScrapeConfig())
+    assert root.serialize() == "<div>" * depth + "<p>deep words</p>" + "</div>" * depth
+    assert page_text(root) == "deep words"
+
+
+@pytest.mark.parametrize("html, text", [
+    ("<span>a</span> b", "a b"),
+    ("<body>Hello <b>world</b></body>", "Hello world"),
+    ("<div>x</div> tail <i>end</i>", "x\ntail end"),
+    ("lead <p>mid</p> trail", "lead\nmid\ntrail"),
+    ("<p>a</p><p>b</p>", "a\nb"),
+])
+def test_page_text_keeps_trailing_inline_text(html, text):
+    """Inline text after the last block element (or on a page with no
+    block element) ends the text; it is not dropped."""
+    from crawl4ai_ray.html.scrape import page_text
+
+    assert page_text(parse_html(html)) == text
+
+
+def test_scrape_body_ending_in_inline_text():
+    html = ("<html><body><p>some words in a para</p>"
+            "trailing inline words here</body></html>")
+    want = "some words in a para\ntrailing inline words here"
+    assert scrape_page(URL, html)["text"] == want
+    assert scrape_page(URL, html, ScrapeConfig(only_text=True))["cleaned_html"] == want
+
+
+def test_unparseable_href_is_kept_as_written():
+    """An href that does not parse (unclosed IPv6 bracket) no longer fails
+    the page: the row succeeds and keeps the link as written, for the
+    crawl to count as skipped."""
+    import pyarrow as pa
+
+    from crawl4ai_ray.stages.extract import ExtractPages
+
+    html = "<html><body><p>hi</p><a href='http://[::1'>x</a><a href='/ok'>y</a></body></html>"
+    out = ExtractPages(ScrapeConfig())(
+        pa.table({"url": ["https://a.example.com/p"], "html": [html]})
+    )
+    assert out.num_rows == 1 and out.column("success").to_pylist() == [True]
+    hrefs = [link["href"] for link in out.column("links_internal").to_pylist()[0]]
+    assert hrefs == ["http://[::1", "https://a.example.com/ok"]

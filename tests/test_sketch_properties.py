@@ -1,7 +1,6 @@
-"""Property tests for the probabilistic state structures added in the
-round-3 fourth wave: the deterministic KLL-style quantile sketch
-(stages/sketch.py) and the cuckoo filter (state/cuckoo.py). No Ray —
-these pin the pure kernels under adversarial inputs."""
+"""Property tests for the deterministic KLL-style quantile sketch
+(stages/sketch.py). No Ray — these pin the pure kernel under adversarial
+inputs."""
 
 from __future__ import annotations
 
@@ -9,9 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crawl4ai_ray.functions.hashing import hash64
 from crawl4ai_ray.stages.sketch import DQSketch
-from crawl4ai_ray.state.cuckoo import CuckooFilter
 
 _floats = st.lists(
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
@@ -60,33 +57,3 @@ def test_dqsketch_chunked_fold_matches_rank_bound(vals, parts):
         hi = np.searchsorted(srt, est, side="right") / n
         dist = 0.0 if lo <= q <= hi else min(abs(lo - q), abs(hi - q))
         assert dist <= 0.12, (q, est, lo, hi)
-
-
-_keys = st.lists(
-    st.text(alphabet="abcdefgh0123456789/", min_size=1, max_size=20),
-    min_size=1,
-    max_size=500,
-    unique=True,
-)
-
-
-@given(_keys, st.data())
-@settings(max_examples=40, deadline=None)
-def test_cuckoo_never_false_negative_under_churn(keys, data):
-    """Insert all keys, delete a random subset: survivors must ALWAYS read
-    present (a cuckoo filter has no false negatives for stored items), and
-    delete reports found for exactly the present keys."""
-    cf = CuckooFilter(capacity=max(8, len(keys)))
-    h = hash64(keys)
-    cf.add_hashes(h)
-    assert cf.contains_hashes(h).all()
-    n_del = data.draw(st.integers(min_value=0, max_value=len(keys)))
-    found = cf.delete_hashes(h[:n_del])
-    assert found.all()
-    if n_del < len(keys):
-        assert cf.contains_hashes(h[n_del:]).all()
-    assert cf.count == len(keys) - n_del
-    # NOTE deliberately not asserted: deleting a key that is NOT present
-    # may evict a colliding survivor's fingerprint — the standard cuckoo
-    # deletion contract is "only delete what you know was inserted", which
-    # SeenSet.forget honors by arbitrating against the exact store first.

@@ -105,22 +105,49 @@ def test_hash64_matches_pinned_spec():
     assert not (hash64_alt(cases) == got).any()
 
 
-def test_seen_checkpoint_rejects_wrong_hash_spec(ray_session):
+def _seen_members(seen) -> set[tuple[int, int]]:
+    """A SeenSet's keys, read through its ``dump_all`` payloads."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    keys = set()
+    for payload in seen.dump_all():
+        t = pq.read_table(pa.BufferReader(payload))
+        keys.update(zip(t.column("h1").to_pylist(), t.column("h2").to_pylist()))
+    return keys
+
+
+def _url_members(urls) -> set[tuple[int, int]]:
+    from crawl4ai_ray.state.seen import url_keys
+
+    return set(zip(*(k.tolist() for k in url_keys(urls))))
+
+
+def test_seen_checkpoint_rejects_wrong_hash_spec(tmp_path):
+    """A seen run or payload written under another hash spec is refused in
+    the driver, before any task runs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
     from crawl4ai_ray.state.seen import SeenSet
 
-    s = SeenSet(num_shards=1, capacity_per_shard=100)
-    try:
-        s.add(["u1"])
-        payload = s.dump_all()[0]
-        # corrupt the spec header
-        bad = (4).to_bytes(2, "little") + b"oops" + payload[2 + len("fnv1a64-seeded-v1"):]
-        import pytest as _pytest
-        import ray as _ray
-
-        with _pytest.raises(_ray.exceptions.RayTaskError):
-            s.load_all([bad])
-    finally:
-        s.shutdown()
+    s = SeenSet(num_shards=1)
+    s.add(["u1"], str(tmp_path / "seeds"))
+    payload = s.dump_all()[0]
+    tbl = pq.read_table(pa.BufferReader(payload))
+    bad_tbl = tbl.replace_schema_metadata({b"hash_spec": b"oops"})
+    sink = pa.BufferOutputStream()
+    pq.write_table(bad_tbl, sink)
+    with pytest.raises(ValueError, match="hash spec"):
+        SeenSet(num_shards=1).load_all([sink.getvalue().to_pybytes()], str(tmp_path / "l"))
+    bad_path = str(tmp_path / "bad.parquet")
+    pq.write_table(bad_tbl, bad_path)
+    with pytest.raises(ValueError, match="hash spec"):
+        SeenSet(num_shards=1, runs=[[bad_path]])
+    # the untampered payload loads
+    s2 = SeenSet(num_shards=1)
+    s2.load_all([payload], str(tmp_path / "ok"))
+    assert _seen_members(s2) == _url_members(["u1"])
 
 
 def test_hash64_stable_and_vectorized():
@@ -130,41 +157,267 @@ def test_hash64_stable_and_vectorized():
     assert a[0] != a[1]
 
 
-def test_seen_set_check_add(ray_session):
+def test_seen_set_check_add(tmp_path):
     from crawl4ai_ray.state.seen import SeenSet
 
-    seen = SeenSet(num_shards=2, capacity_per_shard=10_000)
-    try:
-        urls = [f"https://a.com/{i}" for i in range(100)]
-        assert not seen.check(urls).any()
-        seen.add(urls[:50])
-        mask = seen.check(urls)
-        assert mask[:50].all() and not mask[50:].any()
-        # check_and_add marks the rest
-        m2 = seen.check_and_add(urls)
-        assert m2[:50].all() and not m2[50:].any()
-        assert seen.check(urls).all()
-        assert seen.stats()["exact_size"] == 100
-    finally:
-        seen.shutdown()
+    seen = SeenSet(num_shards=2)
+    urls = [f"https://a.com/{i}" for i in range(50)]
+    assert _seen_members(seen) == set()
+    # duplicated seeds are marked once, as one run per partition
+    seen.add(urls + urls[:10], str(tmp_path / "a"))
+    assert _seen_members(seen) == _url_members(urls)
+    assert seen.stats()["exact_size"] == 50
+    assert seen.stats()["runs"] == 2
+    # seeds go only into an empty set; later waves go through the reduce
+    with pytest.raises(ValueError, match="empty"):
+        seen.add(urls, str(tmp_path / "b"))
 
 
-def test_seen_set_dump_load(ray_session):
+def test_seen_set_dump_load(tmp_path):
     from crawl4ai_ray.state.seen import SeenSet
 
-    seen = SeenSet(num_shards=2, capacity_per_shard=1000)
-    try:
-        seen.add(["u1", "u2", "u3"])
-        payloads = seen.dump_all()
-    finally:
-        seen.shutdown()
-    seen2 = SeenSet(num_shards=2, capacity_per_shard=1000)
-    try:
-        seen2.load_all(payloads)
-        assert seen2.check(["u1", "u2", "u3"]).all()
-        assert not seen2.check(["u4"]).any()
-    finally:
-        seen2.shutdown()
+    seen = SeenSet(num_shards=2)
+    seen.add(["u1", "u2", "u3"], str(tmp_path / "a"))
+    payloads = seen.dump_all()
+    seen2 = SeenSet(num_shards=2)
+    seen2.load_all(payloads, str(tmp_path / "b"))
+    assert _seen_members(seen2) == _url_members(["u1", "u2", "u3"])
+    assert seen2.stats()["exact_size"] == 3
+    with pytest.raises(ValueError, match="partitions"):
+        SeenSet(num_shards=3).load_all(payloads, str(tmp_path / "c"))
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+# h1 values drawn from a few fixed ones force keys with equal h1 and
+# different h2 (64-bit collisions the runs must still tell apart)
+_H1 = st.one_of(st.sampled_from([3, 7, 2**63 + 1, 2**64 - 1]), _U64)
+_H2 = st.one_of(st.integers(min_value=0, max_value=3), _U64)
+_ROW = st.tuples(_H1, _H2, st.integers(0, 3), st.integers(0, 2), st.sampled_from("ab"))
+
+
+@given(
+    waves=st.lists(
+        st.tuples(st.lists(_ROW, max_size=24), st.integers(0, 5)),
+        min_size=1, max_size=14,
+    ),
+    num_partitions=st.integers(1, 3),
+)
+@settings(max_examples=25, deadline=None)
+def test_seen_runs_match_python_set(waves, num_partitions):
+    """The partitioned sorted-run anti-join, wave after wave and through
+    run compaction, keeps exactly the keys a Python set keeps and emits
+    exactly the canonical new rows (max score, min depth, min parent)."""
+    import os
+    import tempfile
+    import types
+    from unittest import mock
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from crawl4ai_ray.state import seen as seen_mod
+
+    model: set[tuple[int, int]] = set()
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(
+        seen_mod, "ray", types.SimpleNamespace(get=lambda refs: refs)
+    ), mock.patch.object(
+        seen_mod, "_reduce_task", types.SimpleNamespace(remote=seen_mod.reduce_partition)
+    ):
+        seen = seen_mod.SeenSet(num_shards=num_partitions)
+        for w, (rows, n_skipped) in enumerate(waves):
+            exchange = os.path.join(root, "x", str(w))
+            # two map batches per wave; a key may appear in both
+            for b, batch in enumerate((rows[::2], rows[1::2])):
+                h1 = np.array([r[0] for r in batch], np.uint64)
+                part = h1 % np.uint64(num_partitions)
+                for p in range(num_partitions):
+                    sel = [r for r, q in zip(batch, part) if q == p]
+                    if not sel and not (b == 0 and p == 0):
+                        continue
+                    tbl = pa.table({
+                        "url_norm": [f"u{r[0]}-{r[1]}" for r in sel],
+                        "host": ["h"] * len(sel),
+                        "depth": pa.array([r[3] for r in sel], pa.int32()),
+                        "parent_url": [r[4] for r in sel],
+                        "score": [float(r[2]) for r in sel],
+                        "h1": pa.array([r[0] for r in sel], pa.uint64()),
+                        "h2": pa.array([r[1] for r in sel], pa.uint64()),
+                    }, schema=seen_mod.CANDIDATE_SCHEMA)
+                    if b == 0 and p == 0:
+                        tbl = tbl.replace_schema_metadata({b"n_skipped": str(n_skipped).encode()})
+                    d = os.path.join(exchange, f"part-{p:03d}")
+                    os.makedirs(d, exist_ok=True)
+                    pq.write_table(tbl, os.path.join(d, f"batch{b}.parquet"))
+            paths, totals = seen.finalize_wave_parquet(
+                os.path.join(root, "spill", str(w)), w + 1, exchange,
+                os.path.join(root, "runs", str(w)),
+            )
+            best = {}
+            for h1, h2, score, depth, parent in rows:
+                cur = best.get((h1, h2))
+                if cur is None or (-score, depth, parent) < (-cur[0], cur[1], cur[2]):
+                    best[(h1, h2)] = (score, depth, parent)
+            expect = sorted(
+                (f"u{k[0]}-{k[1]}", v[1], v[2], float(v[0]))
+                for k, v in best.items() if k not in model
+            )
+            model.update(best)
+            got = []
+            for path in paths:
+                t = pq.read_table(path)
+                urls = t.column("url_norm").to_pylist()
+                assert urls == sorted(urls)
+                assert set(t.column("enqueued_wave").to_pylist()) == {w + 1}
+                got += zip(urls, t.column("depth").to_pylist(),
+                           t.column("parent_url").to_pylist(), t.column("score").to_pylist())
+            assert sorted(got) == expect
+            assert totals["candidates_offered"] == len(rows)
+            assert totals["candidates_skipped"] == n_skipped
+            assert totals["seen"]["exact_size"] == len(model)
+            assert not os.path.exists(exchange)
+            stored: set[tuple[int, int]] = set()
+            for p, runs in enumerate(seen.runs):
+                assert len(runs) <= seen_mod.MAX_RUNS
+                for path in runs:
+                    h1, h2 = seen_mod.read_run(path)
+                    keys = list(zip(h1.tolist(), h2.tolist()))
+                    assert keys == sorted(keys)  # sorted by (h1, h2)
+                    assert not stored & set(keys)  # runs are disjoint
+                    assert all(k[0] % num_partitions == p for k in keys)
+                    stored.update(keys)
+            assert stored == model
+
+
+def test_contains_tells_equal_h1_apart():
+    """Keys that share h1 differ only in h2; a probe matches only its own
+    (h1, h2), including at the ends of the run."""
+    from crawl4ai_ray.state.seen import contains, sort_keys
+
+    h1 = np.array([5, 5, 5, 9, 0, 2**64 - 1, 2**64 - 1], np.uint64)
+    h2 = np.array([3, 1, 7, 1, 4, 0, 2**64 - 1], np.uint64)
+    r1, r2 = sort_keys(h1, h2)
+    q1 = np.array([5, 5, 5, 5, 9, 9, 0, 0, 2**64 - 1, 2**64 - 1, 6], np.uint64)
+    q2 = np.array([1, 3, 7, 2, 1, 3, 4, 5, 2**64 - 1, 1, 1], np.uint64)
+    got = contains(r1, r2, q1, q2)
+    assert got.tolist() == [True, True, True, False, True, False,
+                            True, False, True, False, False]
+    # an empty run and an empty probe set
+    empty = np.zeros(0, np.uint64)
+    assert not contains(empty, empty, q1, q2).any()
+    assert contains(r1, r2, empty, empty).tolist() == []
+
+
+def test_write_candidates_partitions_rows_and_skipped_count(tmp_path):
+    """The map side writes each candidate to the file of partition
+    h1 % n, puts the batch's skipped count on exactly one file, and a
+    retried batch overwrites its own files."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from crawl4ai_ray.state import seen as seen_mod
+
+    urls = [f"https://a.com/{i}" for i in range(40)]
+    cand = pa.table({
+        "url_norm": urls,
+        "host": ["a.com"] * 40,
+        "depth": pa.array([1] * 40, pa.int32()),
+        "parent_url": ["https://a.com/"] * 40,
+        "score": [0.5] * 40,
+    })
+    xdir = str(tmp_path / "x")
+    for _ in range(2):  # the second call is a retry of the same batch
+        seen_mod.write_candidates(xdir, 3, "b0", cand, n_skipped=7)
+    h1, _ = seen_mod.url_keys(urls)
+    got, skipped = {}, 0
+    for part in sorted(os.listdir(xdir)):
+        files = os.listdir(os.path.join(xdir, part))
+        assert files == ["b0.parquet"]
+        t = pq.read_table(os.path.join(xdir, part, files[0]))
+        assert t.schema.remove_metadata() == seen_mod.CANDIDATE_SCHEMA
+        skipped += int((t.schema.metadata or {}).get(b"n_skipped", 0))
+        for u, k in zip(t.column("url_norm").to_pylist(), t.column("h1").to_pylist()):
+            assert f"part-{k % 3:03d}" == part
+            got[u] = part
+    assert sorted(got) == sorted(urls)
+    assert skipped == 7
+    # a batch with no candidates still carries its skipped count
+    seen_mod.write_candidates(str(tmp_path / "e"), 3, "b1",
+                              cand.slice(0, 0), n_skipped=4)
+    t = pq.read_table(str(tmp_path / "e" / "part-000" / "b1.parquet"))
+    assert t.num_rows == 0 and t.schema.metadata[b"n_skipped"] == b"4"
+
+
+def test_reduce_partition_merges_runs_past_max_runs(tmp_path):
+    """A partition with MAX_RUNS runs writes its next delta merged with
+    them: one sorted run holding every key, and the set is unchanged."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from crawl4ai_ray.state import seen as seen_mod
+
+    runs, keys = [], set()
+    for i in range(seen_mod.MAX_RUNS):
+        h1 = np.array([i, 100 + i], np.uint64)
+        h2 = np.array([i, i], np.uint64)
+        path = str(tmp_path / "runs" / f"r{i}.parquet")
+        seen_mod.write_run(path, h1, h2)
+        runs.append(path)
+        keys |= set(zip(h1.tolist(), h2.tolist()))
+    cand = pa.table({
+        "url_norm": ["n", "old", "n2"],
+        "host": ["h"] * 3,
+        "depth": pa.array([1, 1, 1], pa.int32()),
+        "parent_url": ["p"] * 3,
+        "score": [0.0] * 3,
+        "h1": pa.array([50, 3, 0], pa.uint64()),
+        "h2": pa.array([50, 3, 9], pa.uint64()),  # (0, 9) shares h1 with (0, 0)
+    }, schema=seen_mod.CANDIDATE_SCHEMA)
+    xdir = tmp_path / "x"
+    xdir.mkdir()
+    pq.write_table(cand, str(xdir / "b.parquet"))
+    out = seen_mod.reduce_partition(
+        str(xdir), runs, str(tmp_path / "delta.parquet"),
+        str(tmp_path / "front.parquet"), 4,
+    )
+    assert out["offered"] == 3 and out["new"] == 2 and out["merged"]
+    h1, h2 = seen_mod.read_run(out["run"])
+    merged = list(zip(h1.tolist(), h2.tolist()))
+    assert merged == sorted(keys | {(50, 50), (0, 9)})
+    assert out["run_rows"] == len(merged)
+    front = pq.read_table(str(tmp_path / "front.parquet"))
+    assert front.column("url_norm").to_pylist() == ["n", "n2"]
+    # below the cap the delta holds only the new keys
+    out = seen_mod.reduce_partition(
+        str(xdir), runs[:2], str(tmp_path / "delta2.parquet"),
+        str(tmp_path / "front2.parquet"), 4,
+    )
+    assert not out["merged"] and out["new"] == 3 and out["run_rows"] == 3
+
+
+def test_seen_set_reopens_from_relative_runs(tmp_path):
+    """The manifest form of the run list reopens the same set; a run list
+    with another partition count is refused."""
+    import os
+
+    from crawl4ai_ray.state.seen import SeenSet
+
+    root = str(tmp_path)
+    seen = SeenSet(num_shards=3)
+    urls = [f"https://b.com/{i}" for i in range(60)]
+    seen.add(urls[:45], os.path.join(root, "w0"))
+    rel = seen.relative_runs(root)
+    assert all(not os.path.isabs(p) for paths in rel for p in paths)
+    runs = [[os.path.join(root, p) for p in paths] for paths in rel]
+    again = SeenSet(num_shards=3, runs=runs)
+    assert again.stats() == seen.stats()
+    assert again.stats()["exact_size"] == 45
+    assert _seen_members(again) == _url_members(urls[:45])
+    with pytest.raises(ValueError, match="seen_shards=2"):
+        SeenSet(num_shards=2, runs=runs)
+    seen.shutdown()
+    assert seen.stats()["exact_size"] == 0 and _seen_members(seen) == set()
 
 
 def test_politeness_admission_cap(ray_session):
@@ -306,152 +559,6 @@ def test_cached_extract_raw_urls_never_cached(ray_session, tmp_path):
         _mini_pages(mixed), cache, _tagged_extractor("r2"), CacheMode.ENABLED
     ).to_pandas()
     assert int((out2["run_tag"] == "r2").sum()) == 1  # only raw: recomputes
-
-
-# -- cuckoo filter (state/cuckoo.py) --------------------------------------
-
-def test_cuckoo_no_false_negatives():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=10_000)
-    keys = hash64([f"https://x.com/{i}" for i in range(10_000)])
-    cf.add_hashes(keys)
-    assert cf.contains_hashes(keys).all()
-    assert cf.count == 10_000
-
-
-def test_cuckoo_fpp_much_lower_than_bloom():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=20_000)
-    cf.add_hashes(hash64([f"https://x.com/{i}" for i in range(20_000)]))
-    other = hash64([f"https://y.com/{i}" for i in range(50_000)])
-    fpp = cf.contains_hashes(other).mean()
-    assert fpp < 0.002  # design point ~1.2e-4; 80x below bloom's 1%
-
-
-def test_cuckoo_delete_then_absent():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=1_000)
-    keys = hash64([f"k{i}" for i in range(500)])
-    cf.add_hashes(keys)
-    found = cf.delete_hashes(keys[:100])
-    assert found.all()
-    assert cf.count == 400
-    # deleted keys gone (no false negatives for the survivors)
-    assert cf.contains_hashes(keys[100:]).all()
-    # the deleted 100 should mostly read absent (fp collisions with the
-    # 400 survivors are possible but rare at 16-bit fingerprints)
-    assert cf.contains_hashes(keys[:100]).mean() < 0.05
-    # deleting an absent key reports not-found
-    assert not cf.delete_hashes(hash64(["never-added"])).any()
-
-
-def test_cuckoo_high_load_and_kicks():
-    """Push to the 0.95 design load: vectorized placement alone can't do
-    this — the kick loop must engage — and membership must stay exact."""
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=5_000)
-    keys = hash64([f"hot/{i}" for i in range(5_000)])
-    for i in range(0, 5_000, 250):  # staggered batches age the table
-        cf.add_hashes(keys[i : i + 250])
-    assert cf.contains_hashes(keys).all()
-    assert cf.load_factor() > 0.55  # 5000 keys in the pow2-rounded table
-
-
-def test_cuckoo_roundtrip():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=1_000)
-    keys = hash64(["a", "b", "c"])
-    cf.add_hashes(keys)
-    cf2 = CuckooFilter.from_bytes(cf.to_bytes())
-    assert cf2.contains_hashes(keys).all()
-    assert cf2.count == 3 and cf2.num_buckets == cf.num_buckets
-    with pytest.raises(ValueError):
-        CuckooFilter.from_bytes(b"XXXX" + cf.to_bytes()[4:])
-
-
-def test_seen_set_cuckoo_forget_and_checkpoint(ray_session):
-    """The cuckoo-backed seen set: same wave semantics as bloom, plus
-    forget() actually un-sees, and checkpoints refuse filter mismatches."""
-    from crawl4ai_ray.state.seen import SeenSet
-
-    seen = SeenSet(num_shards=2, capacity_per_shard=10_000,
-                   approx_filter="cuckoo")
-    try:
-        urls = [f"https://a.com/{i}" for i in range(200)]
-        assert not seen.check(urls).any()
-        seen.add(urls)
-        assert seen.check(urls).all()
-        assert seen.forget(urls[:50]) == 50
-        mask = seen.check(urls)
-        assert not mask[:50].any() and mask[50:].all()
-        # forgotten urls can be re-seen (recrawl)
-        m2 = seen.check_and_add(urls[:50])
-        assert not m2.any() and seen.check(urls).all()
-        payloads = seen.dump_all()
-    finally:
-        seen.shutdown()
-    # resume into a matching filter works…
-    s2 = SeenSet(num_shards=2, capacity_per_shard=10_000,
-                 approx_filter="cuckoo")
-    try:
-        s2.load_all(payloads)
-        assert s2.check(urls).all()
-    finally:
-        s2.shutdown()
-    # …a mismatched filter kind is refused loudly
-    import ray as _ray
-
-    s3 = SeenSet(num_shards=2, capacity_per_shard=10_000)
-    try:
-        with pytest.raises(_ray.exceptions.RayTaskError):
-            s3.load_all(payloads)
-    finally:
-        s3.shutdown()
-
-
-def test_seen_set_bloom_forget_still_correct(ray_session):
-    """forget() under the bloom filter: stale bloom bits are arbitrated
-    away by the exact store, so check() flips to unseen regardless."""
-    from crawl4ai_ray.state.seen import SeenSet
-
-    seen = SeenSet(num_shards=1, capacity_per_shard=1000)
-    try:
-        seen.add(["u1", "u2"])
-        assert seen.forget(["u1", "u404"]) == 1
-        mask = seen.check(["u1", "u2"])
-        assert not mask[0] and mask[1]
-    finally:
-        seen.shutdown()
-
-
-def test_cuckoo_seen_add_idempotent_and_grows(ray_session):
-    """Review findings: (a) re-adding seen urls must NOT accumulate
-    duplicate cuckoo fingerprints (add is exact-store-gated); (b) pushing
-    past the filter's capacity rebuilds a doubled table from the exact
-    store instead of killing the shard."""
-    from crawl4ai_ray.state.seen import SeenSet
-
-    seen = SeenSet(num_shards=1, capacity_per_shard=256,
-                   approx_filter="cuckoo")
-    try:
-        urls = [f"https://r.com/{i}" for i in range(200)]
-        for _ in range(12):  # would overflow 256-cap table if not gated
-            seen.add(urls)
-        assert seen.stats()["exact_size"] == 200
-        assert seen.check(urls).all()
-        # now genuinely exceed capacity: the shard must grow, not crash
-        more = [f"https://r.com/more/{i}" for i in range(2000)]
-        seen.add(more)
-        assert seen.stats()["exact_size"] == 2200
-        assert seen.check(urls).all() and seen.check(more).all()
-        assert not seen.check(["https://r.com/never"]).any()
-    finally:
-        seen.shutdown()
 
 
 def test_robots_rules_reference_semantics():

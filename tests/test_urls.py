@@ -226,3 +226,11 @@ def test_normalize_text_rules():
     assert normalize_text("  a b \n") == "a b"
     # interior newlines under the cap are untouched
     assert normalize_text("a\nb\n\nc") == "a\nb\n\nc"
+
+
+def test_unparseable_href_normalizes_to_none():
+    """An href urllib cannot split (unclosed IPv6 bracket) has no canonical
+    form: both normalizers return None instead of raising."""
+    for href in ("http://[::1", "http://[zz]/x"):
+        assert normalize_url(href, "https://a.example.com/p") is None
+        assert normalize_url_for_deep_crawl(href, "https://a.example.com/p") is None
