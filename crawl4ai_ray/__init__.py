@@ -17,6 +17,9 @@ reference (file:line cites in docstrings); the execution model is Ray Data.
 
 __version__ = "0.1.0"
 
+# how many Ray schema warnings the filter below has dropped in this process
+schema_warnings_dropped = 0
+
 
 def _install_empty_schema_warning_filter() -> None:
     """Drop Ray Data's cosmetic 'different schema … new schema: .'
@@ -33,14 +36,16 @@ def _install_empty_schema_warning_filter() -> None:
     the NEW one is; the divergence is harmless there (the typed old
     schema is kept, ``enforce_schemas`` is False). This filter mirrors
     that short-circuit for the new side. Real typed-vs-typed schema
-    divergences still warn.
+    divergences still warn. Each dropped record is counted in
+    ``schema_warnings_dropped``.
     """
     import logging
 
     class _EmptyNewSchemaFilter(logging.Filter):
         def filter(self, record: logging.LogRecord) -> bool:  # noqa: A003
+            global schema_warnings_dropped
             msg = record.getMessage()
-            return not (
+            drop = (
                 "Operator produced a RefBundle with a different schema" in msg
                 and (
                     "new schema: ." in msg
@@ -49,6 +54,9 @@ def _install_empty_schema_warning_filter() -> None:
                     in msg
                 )
             )
+            if drop:
+                schema_warnings_dropped += 1
+            return not drop
 
     logging.getLogger(
         "ray.data._internal.execution.streaming_executor_state"

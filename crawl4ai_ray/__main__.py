@@ -182,10 +182,9 @@ def main(argv=None):
             )
             print(json.dumps(man["stages"], indent=1))
         elif args.cmd == "pdf":
-            from .pipelines.queries_wave69 import _pdf_corpus
-            from .stages.pdf import pdf_metadata_batch, pdf_pipeline
+            from .stages.pdf import pdf_corpus, pdf_metadata_batch, pdf_pipeline
 
-            corpus = _pdf_corpus(args.sf_dir)
+            corpus = pdf_corpus(args.sf_dir)
             if args.metadata:
                 ds = corpus.map_batches(
                     pdf_metadata_batch, batch_format="pyarrow", batch_size=32

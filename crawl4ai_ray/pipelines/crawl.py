@@ -372,6 +372,8 @@ def crawl(
                     "pages_crawled": 0,
                     "cumulative_pages": run.pages_crawled,
                     "requeued_memory": int(frontier.num_rows),
+                    # a requeued wave crawled nothing
+                    "frontier_urls": [],
                 }
                 if out_dir:
                     # checkpoint the requeued wave like any other so a

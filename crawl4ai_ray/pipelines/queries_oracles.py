@@ -698,41 +698,7 @@ FROM purl
 SELECT doc_id, lang, md5(text) AS text_md5, TRUE AS digest_ok
 FROM documents
 """,
-    "anchor_text_agg": f"""
-WITH {SQL_PAGES},
-nn AS (SELECT COUNT(*) AS c FROM documents),
-raw AS (
-  SELECT (2 * doc_id + 1) % nn.c AS dst_id,
-         'first link ' || ((2 * doc_id + 1) % nn.c) AS txt
-  FROM documents, nn
-  UNION ALL
-  SELECT (2 * doc_id + 2) % nn.c,
-         'second link ' || ((2 * doc_id + 2) % nn.c)
-  FROM documents, nn
-  UNION ALL
-  -- the third anchor style is dropped by the scraper's first-wins dedup
-  -- (keyed on the NORMALIZED href) whenever it collides with c1/c2
-  SELECT (7 * doc_id + 3) % nn.c,
-         'third link ' || ((7 * doc_id + 3) % nn.c)
-  FROM documents, nn
-  WHERE (7 * doc_id + 3) % nn.c NOT IN
-        ((2 * doc_id + 1) % nn.c, (2 * doc_id + 2) % nn.c)
-),
-atxt AS (
-  SELECT u2.url AS dst, raw.txt FROM raw JOIN purl u2 ON u2.doc_id = raw.dst_id
-  UNION ALL
-  SELECT site AS dst, 'home' FROM purl
-  UNION ALL
-  SELECT url || '?page=2', 'pagination link' FROM purl WHERE doc_id % 37 = 0
-),
-dd AS (SELECT DISTINCT dst, txt FROM atxt)
-SELECT dst,
-       string_agg(txt, '|' ORDER BY txt) AS anchors,
-       CAST(COUNT(*) AS BIGINT) AS n_anchors
-FROM dd GROUP BY dst
-""",
     "seed_distances": _seed_distances_sql(),
-    "label_communities": _label_prop_sql(),
     "connected_components": """
 WITH p AS (
   SELECT doc_id,
@@ -778,31 +744,6 @@ SELECT src_type, dst_type, CAST(COUNT(*) AS BIGINT) AS n
 FROM nxt WHERE dst_type IS NOT NULL
 GROUP BY src_type, dst_type
 """,
-    "event_bursts": """
-WITH counts AS MATERIALIZED (
-  SELECT event_type, date_trunc('hour', ts) AS hour,
-         CAST(COUNT(*) AS BIGINT) AS c
-  FROM events GROUP BY event_type, hour
-),
-m AS MATERIALIZED (
-  SELECT event_type,
-         CAST(COUNT(*) AS BIGINT) AS n,
-         CAST(SUM(c) AS BIGINT) AS s1,
-         CAST(SUM(c * c) AS BIGINT) AS s2
-  FROM counts GROUP BY event_type
-),
-z AS (
-  SELECT counts.event_type, counts.hour, counts.c AS n_events,
-         CASE WHEN m.n * m.s2 - m.s1 * m.s1 > 0
-              THEN CAST(counts.c * m.n - m.s1 AS DOUBLE)
-                   / sqrt(CAST(m.n * m.s2 - m.s1 * m.s1 AS DOUBLE))
-              ELSE CAST(0 AS DOUBLE) END AS zscore
-  FROM counts JOIN m USING (event_type)
-)
-SELECT event_type, hour, n_events, zscore,
-       abs(zscore) > CAST(2 AS DOUBLE) AS is_burst
-FROM z
-""",
     "retention": """
 WITH ud AS (
   SELECT DISTINCT user_id, date_trunc('day', ts) AS day FROM events
@@ -839,22 +780,6 @@ SELECT CAST(3 AS BIGINT), CAST((SELECT COUNT(*) FROM t3) AS BIGINT)
     "distinct_users": """
 SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_distinct
 FROM events GROUP BY event_type
-""",
-    "snapshot_latest": """
-WITH snaps AS (
-  SELECT doc_id, doc_id AS capture_ts, CAST(1 AS BIGINT) AS rev FROM documents
-  UNION ALL
-  SELECT doc_id, doc_id + 1000, CAST(2 AS BIGINT) FROM documents WHERE doc_id % 3 = 0
-),
-ranked AS (
-  SELECT doc_id, rev, capture_ts,
-         ROW_NUMBER() OVER (
-           PARTITION BY doc_id ORDER BY capture_ts DESC, rev
-         ) AS rn
-  FROM snaps
-)
-SELECT doc_id, rev, CAST(capture_ts AS BIGINT) AS capture_ts
-FROM ranked WHERE rn = 1
 """,
     "token_percentiles": r"""
 WITH t AS (
@@ -1046,19 +971,6 @@ SELECT doc_id,
   ((n BETWEEN 50 AND 100000) AND (n > 0 AND 3 * n <= chars AND chars <= 10 * n)
    AND (10 * syms <= n) AND (5 * alpha >= 4 * n) AND (stops >= 1)) AS keep
 FROM m
-""",
-    "host_curation": rf"""
-WITH {SQL_PAGES},
-toks AS (
-  SELECT doc_id, CAST(length(regexp_extract_all(text, '\S+')) AS BIGINT) AS n_tok
-  FROM documents
-),
-j AS (SELECT p.doc_id, p.host, t.n_tok FROM purl p JOIN toks t USING (doc_id)),
-h AS (SELECT host, SUM(n_tok) AS s, COUNT(*) AS c FROM j GROUP BY host)
-SELECT j.doc_id, j.host,
-  CAST(h.c AS BIGINT) AS host_n_docs,
-  (h.c >= 8 AND h.s >= 52 * h.c) AS host_keep
-FROM j JOIN h USING (host)
 """,
     "pmi_pairs": r"""
 WITH t AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS arr FROM documents),
@@ -1317,41 +1229,6 @@ isl AS (
 SELECT doc_id, MIN(pos) AS start_tok, MAX(pos) + 5 AS end_tok
 FROM isl GROUP BY doc_id, island
 """,
-    "length_vs_lang_mean": r"""
-WITH toks AS (
-  SELECT doc_id, lang,
-         len(list_filter(regexp_split_to_array(text, '\s+'), x -> x <> '')) AS n_tok
-  FROM documents
-),
-st AS (
-  SELECT lang, CAST(SUM(n_tok) AS BIGINT) AS sum_tok,
-         CAST(COUNT(*) AS BIGINT) AS cnt
-  FROM toks GROUP BY lang
-)
-SELECT t.doc_id, t.lang, CAST(t.n_tok AS BIGINT) AS n_tok,
-       CAST(t.n_tok * st.cnt AS DOUBLE) / CAST(st.sum_tok AS DOUBLE) AS len_ratio
-FROM toks t JOIN st USING (lang)
-""",
-    "recrawl_priority": r"""
-WITH revs AS (
-  SELECT doc_id, r.rev,
-         (CASE WHEN (doc_id + 2) % 4 = 0 AND r.rev > 1 THEN 1 ELSE 0 END
-        + CASE WHEN (doc_id + 4) % 4 = 0 AND r.rev > 2 THEN 1 ELSE 0 END
-        + CASE WHEN (doc_id + 6) % 4 = 0 AND r.rev > 3 THEN 1 ELSE 0 END) AS ver
-  FROM documents, LATERAL UNNEST(generate_series(1, 4)) AS r(rev)
-),
-d AS (
-  SELECT doc_id, COUNT(DISTINCT ver) AS n_distinct, COUNT(*) AS n_revs
-  FROM revs GROUP BY doc_id
-)
-SELECT doc_id,
-       CAST(n_revs AS BIGINT) AS n_revs,
-       CAST(n_distinct AS BIGINT) AS n_distinct,
-       (CAST(n_distinct AS DOUBLE) - CAST(1.0 AS DOUBLE))
-         / (CAST(n_revs AS DOUBLE) - CAST(1.0 AS DOUBLE)) AS change_rate,
-       CAST(86400 * n_revs // (n_distinct * 4) AS BIGINT) AS revisit_interval_s
-FROM d
-""",
     "term_index_lookup": r"""
 WITH toks AS (
   SELECT doc_id,
@@ -1481,20 +1358,6 @@ comp AS (
 SELECT doc_id, CAST(component AS BIGINT) AS component,
        CASE WHEN component % 10 < 8 THEN 'train' ELSE 'eval' END AS split
 FROM comp
-""",
-    "mirror_hosts": """
-WITH ch AS (
-  SELECT DISTINCT doc_id % 77 AS content_id, doc_id % 50 AS host
-  FROM documents
-),
-p AS (
-  SELECT a.host AS host_a, b.host AS host_b
-  FROM ch a JOIN ch b
-    ON a.content_id = b.content_id AND a.host < b.host
-)
-SELECT host_a, host_b, CAST(COUNT(*) AS BIGINT) AS n_shared
-FROM p GROUP BY host_a, host_b
-HAVING COUNT(*) >= 3
 """,
     "regex_search_trigram": r"""
 WITH m AS (
@@ -2014,9 +1877,6 @@ SELECT url, 'Page ' || doc_id AS h1 FROM purl
     "regex_extract": f"""
 WITH {SQL_PAGES}
 SELECT url, 'sample_' || doc_id AS value FROM purl WHERE doc_id % 7 = 0
-""",
-    "events_props": """
-SELECT event_id, CAST(json_extract(props, '$.k') AS BIGINT) AS k FROM events
 """,
     "sessionize": """
 SELECT event_id, user_id,

@@ -794,32 +794,6 @@ ORACLES["bm25_topk_merged"] = ORACLES["bm25_topk"].replace(
 )
 assert "doc_id % 31" in ORACLES["bm25_topk_merged"]
 
-# snippets compose on top of the bm25 ranking: the full bm25 oracle nests
-# as a CTE (DuckDB allows WITH inside a CTE body), then per top doc the
-# 10-token window with the most query-term tokens, ties -> leftmost
-ORACLES["search_snippets"] = f"""
-WITH topd AS ({ORACLES["bm25_topk"]}),
-tt AS (
-  SELECT d.doc_id,
-         list_filter(regexp_split_to_array(lower(doc.text), '\\s+'),
-                     x -> x <> '') AS t
-  FROM topd d JOIN documents doc ON doc.doc_id = d.doc_id
-),
-wins AS (
-  SELECT doc_id, i,
-         len(list_filter(t[i : i + 9],
-                         x -> x IN ('table', 'scan', 'merge'))) AS hits,
-         array_to_string(t[i : i + 9], ' ') AS snip
-  FROM tt, UNNEST(range(1, greatest(len(t) - 10, 0) + 2)) AS u(i)
-)
-SELECT doc_id, CAST(hits AS BIGINT) AS n_hits, snip AS snippet FROM (
-  SELECT doc_id, hits, snip,
-         row_number() OVER (PARTITION BY doc_id ORDER BY hits DESC, i) AS rn
-  FROM wins) WHERE rn = 1
-"""
-
-
-
 
 # r5: LLM extraction through the recorded-completion kernel — a REAL
 # SQL oracle (not a golden pin): every field the recorded completions

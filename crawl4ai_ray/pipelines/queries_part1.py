@@ -1033,76 +1033,6 @@ def q_leakage_safe_split(sf_dir: str):
     return comps.map_batches(assign, batch_format="pyarrow")
 
 
-def q_mirror_hosts(sf_dir: str):
-    """Mirror-site detection — the crawl-side application of content
-    dedup: host pairs sharing ≥ 3 identical content items are mirror
-    candidates (the Common-Crawl problem of the same site served under
-    many domains). Content identity is a deterministic derivation
-    (content_id = doc_id % 77, host = doc_id % 50 — docs with one
-    content_id on different hosts ARE the planted mirrors). Plan: ONE
-    groupby(content_id) emits host pairs per content (hot-content cap
-    at 64 hosts, min-host anchor — same discipline as the dedup
-    buckets), then ONE pair groupby counts; only (content, host) pairs
-    ever shuffle."""
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "content_id": pa.array(ids % 77, pa.int64()),
-                "host": pa.array(ids % 50, pa.int64()),
-            }
-        )
-
-    pairs_src = (
-        docs.map_batches(tag, batch_format="pyarrow")
-        .groupby(["content_id", "host"])
-        .count()  # distinct (content, host)
-    )
-
-    def host_pairs(group: pa.Table) -> pa.Table:
-        hosts = np.unique(
-            np.asarray(group.column("host").to_pylist(), np.int64)
-        )
-        if len(hosts) < 2:
-            return pa.table(
-                {"host_a": pa.array([], pa.int64()), "host_b": pa.array([], pa.int64())}
-            )
-        if len(hosts) > 64:
-            # hot-content cap: anchor to the min host (documented recall
-            # loss for pairs both far from the anchor, as in simhash)
-            a = np.full(len(hosts) - 1, hosts[0])
-            b = hosts[1:]
-        else:
-            ii, jj = np.triu_indices(len(hosts), k=1)
-            a, b = hosts[ii], hosts[jj]
-        return pa.table(
-            {"host_a": pa.array(a, pa.int64()), "host_b": pa.array(b, pa.int64())}
-        )
-
-    counted = (
-        pairs_src.groupby("content_id")
-        .map_groups(host_pairs, batch_format="pyarrow")
-        .groupby(["host_a", "host_b"])
-        .count()
-    )
-
-    def threshold(batch: pa.Table) -> pa.Table:
-        n = batch.column("count()").cast(pa.int64())
-        keep = pa.compute.greater_equal(n, pa.scalar(3))
-        t = batch.filter(keep)
-        return pa.table(
-            {
-                "host_a": t.column("host_a"),
-                "host_b": t.column("host_b"),
-                "n_shared": t.column("count()").cast(pa.int64()),
-            }
-        )
-
-    return counted.map_batches(threshold, batch_format="pyarrow")
-
-
 def q_regex_search_trigram(sf_dir: str):
     """Regex search with trigram-index pruning (the pg_trgm trick,
     stages/index.py build_trigram_index + regex_search_trigram):
@@ -1140,59 +1070,6 @@ def q_corpus_rollup(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["lang", "source", "n_chars"]
     )
     return rollup_stats(docs, ["lang", "source"], "n_chars")
-
-
-def q_anchor_text_agg(sf_dir: str):
-    """Per-destination anchor-text aggregation (the classic web-corpus
-    enrichment: a page's in-link anchor texts describe it better than its
-    own body — used for search indexing and training-data augmentation).
-    Plan: explode (dst, text) from the scraped link lists, then ONE
-    groupby on hash(dst) % P with per-bucket vectorized dedup + sorted
-    string-agg — P scheduling units, not |dst| (the sessionize/asof
-    bucket pattern), since Ray Data has no native string-agg."""
-    import pandas as pd
-
-    from ..functions.hashing import hash64
-
-    P = 32
-    docs = _docs(sf_dir).select_columns(["url", "links_internal"])
-
-    def explode(batch: pa.Table) -> pa.Table:
-        _, dsts, txts = _explode_links(batch, with_text=True)
-        bucket = (hash64(dsts) % P).astype(np.int64) if dsts else np.array([], np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket),
-                "dst": pa.array(dsts, pa.string()),
-                "txt": pa.array(txts, pa.string()),
-            }
-        )
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        # arrow-native (r5): lexsorted (dst, txt) dedup + run joins
-        dst = np.asarray(g.column("dst").to_pylist(), dtype=object)
-        txt = np.asarray(g.column("txt").to_pylist(), dtype=object)
-        o = np.lexsort((txt, dst))
-        dst, txt = dst[o], txt[o]
-        keep = np.r_[
-            True, (dst[1:] != dst[:-1]) | (txt[1:] != txt[:-1])
-        ] if len(dst) else np.zeros(0, bool)
-        dst, txt = dst[keep], txt[keep]
-        starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]]) if len(dst) else np.zeros(0, np.int64)
-        ends = np.r_[starts[1:], len(dst)] if len(dst) else np.zeros(0, np.int64)
-        anchors = ["|".join(txt[s:t]) for s, t in zip(starts, ends)]
-        return pa.table(
-            {
-                "dst": pa.array(dst[starts].tolist(), pa.string()),
-                "anchors": pa.array(anchors, pa.string()),
-                "n_anchors": pa.array(
-                    (ends - starts).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    pairs = docs.map_batches(explode, batch_format="pyarrow")
-    return pairs.groupby("bucket").map_groups(per_bucket, batch_format="pyarrow")
 
 
 def q_connected_components(sf_dir: str):
@@ -1311,34 +1188,10 @@ FROM l{n_iters} WHERE lbl < {sent}
     )
 
 
-def q_label_communities(sf_dir: str):
-    """Seeded label-propagation communities over the synthetic link
-    graph (stages/graph.py label_propagation): docs 0-4 seed five
-    communities, every non-seed node adopts the in-neighbor MAJORITY
-    label each sweep (ties → smallest label), 4 synchronous sweeps.
-    Majority voting is the semantic that neither connected_components
-    (reachability) nor seed_distances (nearest seed) gives. Oracle
-    unrolls the identical vote-count → argmax → clamp → coalesce chain
-    per sweep."""
-    from ..stages.graph import label_propagation
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    nodes = docs.map_batches(
-        lambda b: pa.table({"node": b.column("doc_id")}), batch_format="pyarrow"
-    )
-    return label_propagation(
-        nodes,
-        _synthetic_link_edges(sf_dir),
-        seeds={i: i for i in range(5)},
-        n_sweeps=4,
-    )
-
-
 def _label_prop_ctes(n_sweeps: int = 4) -> str:
     """The unrolled seeded-LPA CTE chain (nn, e, lab0 … lab{n}) WITHOUT
-    the WITH keyword or final SELECT — shared by the label_communities
-    oracle and the community_modularity oracle (wave 9), which computes
-    modularity on top of the same lab{n} labels."""
+    the WITH keyword or final SELECT — the community_modularity oracle
+    (wave 9) computes modularity on top of its lab{n} labels."""
     parts = [
         """e AS MATERIALIZED (
   SELECT CAST(doc_id AS BIGINT) AS src,
@@ -1377,21 +1230,6 @@ lab{i} AS MATERIALIZED (
         )
     return "nn AS (SELECT COUNT(*) AS c FROM documents),\n" + ",\n".join(
         parts
-    )
-
-
-def _label_prop_sql(n_sweeps: int = 4) -> str:
-    """Unrolled seeded-LPA oracle for q_label_communities: per sweep a
-    vote count per (node, label), the (count DESC, label ASC) argmax,
-    seed clamp, coalesce-to-previous. MATERIALIZED per the DuckDB
-    inlining gotcha."""
-    return (
-        "WITH "
-        + _label_prop_ctes(n_sweeps)
-        + f"""
-SELECT node, CAST(lbl AS BIGINT) AS community
-FROM lab{n_sweeps} WHERE lbl IS NOT NULL
-"""
     )
 
 
@@ -1615,7 +1453,7 @@ def q_embedding_norm_outliers(sf_dir: str):
     """Embedding sanity monitor: vectors whose squared fixed-point L2
     norm sits further than 2 population-σ from the corpus mean — the QA
     gate that catches collapsed (near-zero) or exploded rows before
-    they poison ANN/dedup stages. Same discipline as event_bursts —
+    they poison ANN/dedup stages. The z-score is
     z = (v·n − S1)/√(n·S2 − S1²) from exact integer moments — with one
     twist: raw norm² ≤ 2^46 would push Σv² past int64, so all moments
     are computed on v CENTERED BY THE CORPUS MIN (z is shift-invariant),
@@ -1650,8 +1488,8 @@ def q_embedding_norm_outliers(sf_dir: str):
             }
         )
 
-    # ONE combined aggregate pass (review finding: three .sum() calls
-    # re-ran the moments map three times; event_bursts had it right)
+    # ONE combined aggregate pass (three .sum() calls would re-run the
+    # moments map three times)
     row = scored.map_batches(moments, batch_format="pyarrow").aggregate(
         ray.data.aggregate.Sum("n", alias_name="n"),
         ray.data.aggregate.Sum("s1", alias_name="s1"),
@@ -1920,44 +1758,6 @@ def q_distinct_users_hll(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
     return hll_distinct_per_key(events, "event_type", "user_id")
-
-
-def q_snapshot_latest(sf_dir: str):
-    """CDX-style latest-wins dedup across crawl snapshots: a re-crawl
-    (rev 2, every 3rd doc, 1000 s later) unions with the base snapshot
-    and the newest capture per url survives — grouped_topk(k=1), i.e.
-    map-side partial argmax + one bucketed groupby."""
-    from ..stages.agg import grouped_topk
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def snapshots(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts1 = ids  # base capture at t = doc_id seconds
-        re_mask = ids % 3 == 0
-        ids2 = ids[re_mask]
-        return pa.table(
-            {
-                "doc_id": pa.array(np.concatenate([ids, ids2]), pa.int64()),
-                "capture_ts": pa.array(
-                    np.concatenate([ts1, ids2 + 1000]), pa.int64()
-                ),
-                "rev": pa.array(
-                    np.concatenate(
-                        [np.ones(len(ids)), np.full(len(ids2), 2)]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    snaps = docs.map_batches(snapshots, batch_format="pyarrow")
-    out = grouped_topk(
-        snaps, key="doc_id", value="capture_ts", k=1, extra_cols=("rev",)
-    )
-    return out.drop_columns(["rank"])
 
 
 def q_token_percentiles(sf_dir: str):
@@ -2308,7 +2108,6 @@ def q_minhash_index_dedup(sf_dir: str):
     assert telemetry["bytes_total"] > 0
     both = docs.union(new_docs)
     return dedup.verify_pairs(cands, both, mode="jaccard", tau=0.9)
-
 
 
 def _synthetic_link_edges(sf_dir: str):

@@ -144,64 +144,6 @@ def q_pack_manifest(sf_dir: str):
     )
 
 
-def q_recrawl_priority(sf_dir: str):
-    """Revisit scheduling by observed change rate (the adaptive-revisit
-    policy of production crawlers): 4 simulated captures per url whose
-    content version bumps at deterministic steps, exact distinct-version
-    count per url via the map-side-dedup + bucketed-groupby machinery,
-    then change_rate (identical rational expression both engines → doubles
-    bit-identical) and an integer revisit interval. Urls that changed at
-    every capture get the shortest interval."""
-    from ..stages.agg import distinct_count_per_key
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def revisions(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        out_ids, out_rev, out_ver = [], [], []
-        # change between rev r and r+1 at step s=r iff (doc_id + 2*s) % 4 == 0:
-        # odd ids never change, ids % 4 == 0 change once (s=2),
-        # ids % 4 == 2 change twice (s=1 and s=3)
-        for rev in range(1, 5):
-            ver = np.zeros(len(ids), dtype=np.int64)
-            for s in range(1, rev):
-                ver += ((ids + 2 * s) % 4 == 0).astype(np.int64)
-            out_ids.append(ids)
-            out_rev.append(np.full(len(ids), rev, dtype=np.int64))
-            out_ver.append(ver)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.concatenate(out_ids), pa.int64()),
-                "rev": pa.array(np.concatenate(out_rev), pa.int64()),
-                "ver": pa.array(np.concatenate(out_ver), pa.int64()),
-            }
-        )
-
-    revs = docs.map_batches(revisions, batch_format="pyarrow")
-    nd = distinct_count_per_key(revs, key="doc_id", value="ver")
-
-    def schedule(batch: pa.Table) -> pa.Table:
-        n_distinct = batch.column("n_distinct").to_numpy(zero_copy_only=False).astype(np.int64)
-        n_revs = np.full(len(n_distinct), 4, dtype=np.int64)
-        rate = (n_distinct.astype(np.float64) - 1.0) / (
-            n_revs.astype(np.float64) - 1.0
-        )
-        interval = 86400 * n_revs // (n_distinct * 4)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_revs": pa.array(n_revs, pa.int64()),
-                "n_distinct": pa.array(n_distinct, pa.int64()),
-                "change_rate": pa.array(rate, pa.float64()),
-                "revisit_interval_s": pa.array(interval, pa.int64()),
-            }
-        )
-
-    return nd.map_batches(schedule, batch_format="pyarrow")
-
-
 def _token_counts_ds(sf_dir: str):
     """(doc_id, lang, n_tok) over documents — whitespace token counts,
     shared by the per-lang mean and sketch-quantile queries."""
@@ -224,92 +166,6 @@ def _token_counts_ds(sf_dir: str):
         )
 
     return docs.map_batches(counts, batch_format="pyarrow")
-
-
-def q_length_vs_lang_mean(sf_dir: str):
-    """Per-doc length relative to its language's mean — the canonical
-    broadcast-aggregate-back pattern: the big table never shuffles; the
-    per-lang (sum, count) aggregate (≤ |langs| rows) is collected once,
-    broadcast, and joined map-side. Ratio = n_tok * cnt / sum over exact
-    int64 sums → both engines evaluate the identical double division,
-    bit-identical."""
-    # materialized: consumed by the aggregate AND the ratio map (one
-    # tokenization pass, review finding)
-    toks = _token_counts_ds(sf_dir).materialize()
-    # tiny per-lang aggregate → driver dict → broadcast into the map stage
-    agg = toks.groupby("lang").aggregate(
-        ray.data.aggregate.Sum("n_tok", alias_name="sum_tok"),
-        ray.data.aggregate.Count(alias_name="cnt"),
-    ).take_all()  # bounded: one row per lang (bounded key domain)
-    stats = {r["lang"]: (int(r["sum_tok"]), int(r["cnt"])) for r in agg}
-    stats_ref = ray.put(stats)
-
-    def ratio(batch: pa.Table) -> pa.Table:
-        st = ray.get(stats_ref)
-        langs = batch.column("lang").to_pylist()
-        n = batch.column("n_tok").to_numpy(zero_copy_only=False).astype(np.int64)
-        sums = np.fromiter((st[l][0] for l in langs), dtype=np.int64, count=len(langs))
-        cnts = np.fromiter((st[l][1] for l in langs), dtype=np.int64, count=len(langs))
-        r = (n * cnts).astype(np.float64) / sums.astype(np.float64)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "lang": batch.column("lang"),
-                "n_tok": pa.array(n, pa.int64()),
-                "len_ratio": pa.array(r, pa.float64()),
-            }
-        )
-
-    return toks.map_batches(ratio, batch_format="pyarrow")
-
-
-def q_host_curation(sf_dir: str):
-    """Domain-level curation (the C4/Gopher per-domain keep/drop step):
-    per-host (sum_tok, n_docs) aggregate — ≤ |hosts| rows — collected and
-    broadcast, every doc annotated map-side with its host verdict
-    keep = n_docs ≥ 8 AND mean tokens ≥ 52 (integer cross-multiplication:
-    sum ≥ 52·n — no float anywhere). The corpus never shuffles."""
-    from ..sources.pages import host_id_of
-
-    toks = _token_counts_ds(sf_dir).materialize()
-
-    def add_host(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        hosts = [f"site{host_id_of(int(i))}.example.com" for i in ids]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "host": pa.array(hosts, pa.string()),
-                "n_tok": batch.column("n_tok"),
-            }
-        )
-
-    hosted = toks.map_batches(add_host, batch_format="pyarrow").materialize()
-    agg = hosted.groupby("host").aggregate(
-        ray.data.aggregate.Sum("n_tok", alias_name="sum_tok"),
-        ray.data.aggregate.Count(alias_name="n_docs"),
-    ).take_all()  # bounded: one row per host (bounded key domain)
-    stats = {r["host"]: (int(r["sum_tok"]), int(r["n_docs"])) for r in agg}
-    stats_ref = ray.put(stats)
-
-    def verdict(batch: pa.Table) -> pa.Table:
-        st = ray.get(stats_ref)
-        hosts = batch.column("host").to_pylist()
-        n_docs = np.fromiter((st[h][1] for h in hosts), dtype=np.int64,
-                             count=len(hosts))
-        sums = np.fromiter((st[h][0] for h in hosts), dtype=np.int64,
-                           count=len(hosts))
-        keep = (n_docs >= 8) & (sums >= 52 * n_docs)
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "host": batch.column("host"),
-                "host_n_docs": pa.array(n_docs, pa.int64()),
-                "host_keep": pa.array(keep, pa.bool_()),
-            }
-        )
-
-    return hosted.map_batches(verdict, batch_format="pyarrow")
 
 
 def q_token_quantiles_sketch(sf_dir: str):
@@ -910,58 +766,6 @@ def q_bm25_topk_merged(sf_dir: str):
     return res
 
 
-def q_search_snippets(sf_dir: str):
-    """Result snippets for the BM25 top-10: per hit, the 10-token window
-    containing the most query-term tokens (ties → leftmost), the last
-    piece of the search stack after ranking. The top-10 reuses the
-    oracle-proven scan ranking; snippet extraction touches ONLY those 10
-    docs (point-read by id). Output (doc_id, n_hits, snippet)."""
-    import pyarrow.dataset as pds
-
-    W = 10
-    qset = {"table", "scan", "merge"}
-    top = (
-        _bm25_scored(sf_dir)
-        .sort(["score", "doc_id"], descending=[True, False])
-        .limit(10)
-        .take_all()  # bounded: ≤ 10 rows (sort+limit)
-    )
-    ids = sorted(int(r["doc_id"]) for r in top)
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-        filter=pds.field("doc_id").isin(pa.array(ids, pa.int64())),
-    )
-
-    def snip(batch: pa.Table) -> pa.Table:
-        out_d, out_h, out_s = [], [], []
-        for did, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            toks = (text or "").lower().split()
-            n_win = max(1, len(toks) - W + 1)
-            hits = np.array(
-                [
-                    sum(1 for t in toks[i : i + W] if t in qset)
-                    for i in range(n_win)
-                ],
-                np.int64,
-            )
-            best = int(hits.argmax())  # argmax takes the FIRST max — leftmost
-            out_d.append(did)
-            out_h.append(int(hits[best]))
-            out_s.append(" ".join(toks[best : best + W]))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_d, pa.int64()),
-                "n_hits": pa.array(out_h, pa.int64()),
-                "snippet": pa.array(out_s, pa.string()),
-            }
-        )
-
-    return docs.map_batches(snip, batch_format="pyarrow")
-
-
 def q_hybrid_rrf(sf_dir: str):
     """Hybrid retrieval: reciprocal-rank fusion of the BM25 lexical
     top-20 and the exact-cosine semantic top-20 (query = embedding 0,
@@ -1084,113 +888,6 @@ def q_text_normalize(sf_dir: str):
         )
 
     return docs.map_batches(messy_then_norm, batch_format="pyarrow")
-
-
-def q_event_bursts(sf_dir: str):
-    """Burst/anomaly detection per (event_type, hour): flag hours whose
-    event count sits further than 2 population-σ from the type's mean
-    hourly count — the ops-side monitor a production crawl runs over its
-    fetch/error event stream. Plan: ONE (type, hour) partial-count
-    groupby (map-side combined; events themselves never shuffle again),
-    then the per-type moments (n, Σc, Σc²) — ≤|types| rows — collected
-    and BROADCAST back over the count table (broadcast-aggregate-back,
-    no second wide shuffle). Float discipline: z = (c·n − S1) /
-    √(n·S2 − S1²) evaluated from exact int64 moments with one final
-    double division — both engines run the identical expression, and
-    IEEE sqrt/divide are exactly rounded, so doubles match bit-for-bit;
-    zero-variance types are guarded to z = 0."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def type_hour(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        df = pl.from_arrow(batch)
-        out = (
-            df.with_columns(pl.col("ts").dt.truncate("1h").alias("hour"))
-            .group_by(["event_type", "hour"])
-            .len(name="c")
-        )
-        return out.to_arrow().cast(
-            pa.schema(
-                [
-                    ("event_type", pa.string()),
-                    ("hour", pa.timestamp("us")),
-                    ("c", pa.int64()),
-                ]
-            )
-        )
-
-    counts = (
-        events.map_batches(type_hour, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .sum("c")
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "event_type": b.column("event_type"),
-                    "hour": b.column("hour"),
-                    "c": b.column("sum(c)").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()  # consumed twice: moments aggregate + z-score map
-    )
-
-    def moments(batch: pa.Table) -> pa.Table:
-        c = batch.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "n": pa.array(np.ones(len(c), np.int64), pa.int64()),
-                "s1": pa.array(c, pa.int64()),
-                "s2": pa.array(c * c, pa.int64()),
-            }
-        )
-
-    agg = (
-        counts.map_batches(moments, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n"),
-            ray.data.aggregate.Sum("s1", alias_name="s1"),
-            ray.data.aggregate.Sum("s2", alias_name="s2"),
-        )
-        .take_all()
-    )  # ≤ |event types| rows — driver-safe, broadcast below
-    stats = {
-        r["event_type"]: (int(r["n"]), int(r["s1"]), int(r["s2"])) for r in agg
-    }
-    stats_ref = ray.put(stats)
-
-    def zscore(batch: pa.Table) -> pa.Table:
-        st = ray.get(stats_ref)
-        types = batch.column("event_type").to_pylist()
-        c = batch.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.array([st[t][0] for t in types], np.int64)
-        s1 = np.array([st[t][1] for t in types], np.int64)
-        s2 = np.array([st[t][2] for t in types], np.int64)
-        var_num = n * s2 - s1 * s1  # n²·population-variance, exact int64
-        safe = var_num > 0
-        z = np.where(
-            safe,
-            (c * n - s1).astype(np.float64)
-            / np.sqrt(np.where(safe, var_num, 1).astype(np.float64)),
-            0.0,
-        )
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "hour": batch.column("hour"),
-                "n_events": pa.array(c, pa.int64()),
-                "zscore": pa.array(z, pa.float64()),
-                "is_burst": pa.array(np.abs(z) > 2.0, pa.bool_()),
-            }
-        )
-
-    return counts.map_batches(zscore, batch_format="pyarrow")
 
 
 def q_event_transitions(sf_dir: str):
@@ -1374,29 +1071,6 @@ def q_sessionize(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
     )
     return sessionize(events, gap_minutes=30)
-
-
-def q_events_props(sf_dir: str):
-    """JSON property extraction from the events props column (the
-    split_and_parse_json_objects capability, vectorized)."""
-    import json as _json
-
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "props"]
-    )
-
-    def extract_k(batch: pa.Table) -> pa.Table:
-        ks = []
-        for p in batch.column("props").to_pylist():
-            try:
-                ks.append(int(_json.loads(p).get("k")))
-            except Exception:
-                ks.append(None)
-        return pa.table(
-            {"event_id": batch.column("event_id"), "k": pa.array(ks, pa.int64())}
-        )
-
-    return events.map_batches(extract_k, batch_format="pyarrow")
 
 
 def q_top_orders_per_cust(sf_dir: str):
@@ -1600,7 +1274,6 @@ def q_range_events(sf_dir: str):
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-
 
 
 def q_llm_extract_recorded(sf_dir: str):

@@ -1,8 +1,6 @@
 """Tenth-wave operators (round-3 continuation session, 2026-08-19).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave9.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -1079,7 +1077,7 @@ def q_recrawl_pipeline(sf_dir: str):
     per cycle, end to end over Datasets:
 
       1. Cho–Garcia-Molina change rates from the 6-snapshot observation
-         log (stages/freshness.change_rate — url_change_rate's stage);
+         log (stages/freshness.change_rate);
       2. priority = the estimated rate, fixed-point-quantized so
          ranking is integer-exact; universe = stale docs (≥1 observed
          change); host = the planted heavy-hitter layout
@@ -1359,9 +1357,8 @@ def q_kmeans_silhouette(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-# registered in register() — needs the kmeans CTE chain from queries.py,
-# which imports THIS module, so the oracle string is built lazily there
-# via the sql_kmeans_chain callback.
+# queries.py builds this oracle with its kmeans CTE chain (queries.py
+# imports THIS module, so the chain is passed in)
 def _silhouette_sql(kmeans_chain: str) -> str:
     return f"""
 WITH {kmeans_chain},
@@ -2261,46 +2258,3 @@ FROM matches m JOIN exact e ON e.a_id = m.a_id AND e.b_id = m.b_id""".replace(
 # ---------------------------------------------------------------------------
 # registration
 # ---------------------------------------------------------------------------
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["kmv_overlap"] = q_kmv_overlap
-    oracles["kmv_overlap"] = SQL_KMV_OVERLAP
-    queries["seed_cover"] = q_seed_cover
-    oracles["seed_cover"] = SQL_SEED_COVER
-    queries["rake_keywords"] = q_rake_keywords
-    oracles["rake_keywords"] = SQL_RAKE_KEYWORDS
-    queries["host_gini"] = q_host_gini
-    oracles["host_gini"] = SQL_HOST_GINI.format(pages=sql_pages.strip())
-    # compression_ratio's oracle is the pinned sf0.01 golden (GOLDEN_SQL
-    # in golden_sf001.py) — zlib has no SQL analogue
-    queries["compression_ratio"] = q_compression_ratio
-    queries["rendezvous_assign"] = q_rendezvous_assign
-    oracles["rendezvous_assign"] = SQL_RENDEZVOUS_ASSIGN.format(
-        pages=sql_pages.strip()
-    )
-    queries["fair_share_alloc"] = q_fair_share_alloc
-    oracles["fair_share_alloc"] = SQL_FAIR_SHARE_ALLOC.format(
-        pages=sql_pages.strip()
-    )
-    queries["zipf_fit"] = q_zipf_fit
-    oracles["zipf_fit"] = SQL_ZIPF_FIT
-    queries["recrawl_pipeline"] = q_recrawl_pipeline
-    oracles["recrawl_pipeline"] = SQL_RECRAWL_PIPELINE
-    # queries.py is mid-import when register() runs, but _kmeans_cte_chain
-    # is defined well before the register call at its tail
-    from .queries import _kmeans_cte_chain
-
-    queries["kmeans_silhouette"] = q_kmeans_silhouette
-    oracles["kmeans_silhouette"] = _silhouette_sql(_kmeans_cte_chain(8, 4))
-    queries["snapshot_novelty"] = q_snapshot_novelty
-    oracles["snapshot_novelty"] = SQL_SNAPSHOT_NOVELTY
-    queries["lang_mixing"] = q_lang_mixing
-    oracles["lang_mixing"] = _lang_mixing_sql()
-    queries["scene_cuts"] = q_scene_cuts
-    oracles["scene_cuts"] = SQL_SCENE_CUTS
-    queries["mime_sniff"] = q_mime_sniff
-    oracles["mime_sniff"] = SQL_MIME_SNIFF
-    queries["minhash_estimator"] = q_minhash_estimator
-    oracles["minhash_estimator"] = SQL_MINHASH_ESTIMATOR
-    queries["minhash_bbit"] = q_minhash_bbit
-    oracles["minhash_bbit"] = SQL_MINHASH_BBIT

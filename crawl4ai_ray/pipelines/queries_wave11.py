@@ -1,8 +1,6 @@
 """Eleventh-wave operators (round-3 continuation session, 2026-08-19).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave10.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -449,18 +447,3 @@ SELECT c.lang, c.source, c.n_ls, l.n_l, s.n_s, t.n,
        ln(CAST(t.n * c.n_ls AS DOUBLE) / CAST(l.n_l * s.n_s AS DOUBLE)) AS pmi
 FROM c JOIN l USING (lang) JOIN s USING (source) CROSS JOIN t
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    from .queries_wave9 import SQL_VOCAB_GROWTH
-
-    queries["host_boilerplate"] = q_host_boilerplate
-    oracles["host_boilerplate"] = SQL_HOST_BOILERPLATE.format(
-        pages=sql_pages.strip(), w=_HB_WIDTH, mindf=_HB_MIN_DF
-    )
-    queries["pareto_docs"] = q_pareto_docs
-    oracles["pareto_docs"] = SQL_PARETO_DOCS
-    queries["heaps_fit"] = q_heaps_fit
-    oracles["heaps_fit"] = SQL_HEAPS_FIT.format(growth=SQL_VOCAB_GROWTH.strip())
-    queries["lang_source_mi"] = q_lang_source_mi
-    oracles["lang_source_mi"] = SQL_LANG_SOURCE_MI

@@ -1,8 +1,6 @@
 """Twelfth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave11.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -175,7 +173,7 @@ def q_host_quality_shrunk(sf_dir: str):
     Reference anchor: crawl4ai scores page-by-page
     (content_filter_strategy.py PruningContentFilter); host-level
     pooling is the beyond-reference curation operator next to
-    ``host_curation`` / ``host_gini``.
+    ``host_gini``.
     """
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -396,12 +394,3 @@ FROM reps a
 JOIN reps b
   ON b.host_id = a.host_id AND b.article = a.article AND a.lang < b.lang
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["softdedup_weights"] = q_softdedup_weights
-    oracles["softdedup_weights"] = SQL_SOFTDEDUP_WEIGHTS
-    queries["host_quality_shrunk"] = q_host_quality_shrunk
-    oracles["host_quality_shrunk"] = SQL_HOST_QUALITY_SHRUNK.format(k=_HQS_PRIOR)
-    queries["parallel_url_pairs"] = q_parallel_url_pairs
-    oracles["parallel_url_pairs"] = SQL_PARALLEL_URL_PAIRS

@@ -1,8 +1,6 @@
 """Thirteenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave12.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -415,14 +413,3 @@ SELECT term, CAST(COUNT(*) AS BIGINT) AS df,
                   + CAST(delta >= 268435456 AS BIGINT)) AS BIGINT) AS index_bytes
 FROM d GROUP BY term
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["stopword_induction"] = q_stopword_induction
-    oracles["stopword_induction"] = SQL_STOPWORD_INDUCTION
-    queries["events_sliding_distinct"] = q_events_sliding_distinct
-    oracles["events_sliding_distinct"] = SQL_EVENTS_SLIDING_DISTINCT
-    queries["borda_quality"] = q_borda_quality
-    oracles["borda_quality"] = SQL_BORDA_QUALITY
-    queries["postings_delta_size"] = q_postings_delta_size
-    oracles["postings_delta_size"] = SQL_POSTINGS_DELTA_SIZE

@@ -1,8 +1,6 @@
 """Fourteenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave13.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -710,14 +708,3 @@ SELECT row_number() OVER (ORDER BY rank, host_id) AS pos,
        host_id, doc_id, n_chars, CAST(rank AS BIGINT) AS rank
 FROM topk
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["link_farm_hhi"] = q_link_farm_hhi
-    oracles["link_farm_hhi"] = SQL_LINK_FARM_HHI
-    queries["shingle_cosine_pairs"] = q_shingle_cosine_pairs
-    oracles["shingle_cosine_pairs"] = SQL_SHINGLE_COSINE_PAIRS
-    queries["ndcg_bm25"] = q_ndcg_bm25
-    oracles["ndcg_bm25"] = _sql_ndcg_bm25()
-    queries["host_balanced_order"] = q_host_balanced_order
-    oracles["host_balanced_order"] = SQL_HOST_BALANCED_ORDER

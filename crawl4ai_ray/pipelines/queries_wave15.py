@@ -1,8 +1,6 @@
 """Fifteenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave14.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -476,14 +474,3 @@ FROM conf
         .replace("{R}", str(_MLE_ROWS))
         .replace("{THS}", thresholds)
     )
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["user_survival"] = q_user_survival
-    oracles["user_survival"] = SQL_USER_SURVIVAL
-    queries["readability_flesch"] = q_readability_flesch
-    oracles["readability_flesch"] = SQL_READABILITY_FLESCH
-    queries["degree_powerlaw_mle"] = q_degree_powerlaw_mle
-    oracles["degree_powerlaw_mle"] = SQL_DEGREE_POWERLAW_MLE
-    queries["minhash_lsh_eval"] = q_minhash_lsh_eval
-    oracles["minhash_lsh_eval"] = _sql_minhash_lsh_eval()

@@ -1,8 +1,6 @@
 """Sixteenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave15.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -403,14 +401,3 @@ SELECT rank, host_id, n_pages, cum_pages,
        CAST(cum_pages AS DOUBLE) / CAST(t.total AS DOUBLE) AS cum_share
 FROM r, t
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["bowtie_components"] = q_bowtie_components
-    oracles["bowtie_components"] = SQL_BOWTIE_COMPONENTS
-    queries["embedding_dim_stats"] = q_embedding_dim_stats
-    oracles["embedding_dim_stats"] = SQL_EMBEDDING_DIM_STATS
-    queries["transition_entropy"] = q_transition_entropy
-    oracles["transition_entropy"] = SQL_TRANSITION_ENTROPY
-    queries["host_coverage_curve"] = q_host_coverage_curve
-    oracles["host_coverage_curve"] = SQL_HOST_COVERAGE_CURVE

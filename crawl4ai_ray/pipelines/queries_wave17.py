@@ -1,8 +1,6 @@
 """Seventeenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave16.register``). Two of this wave's oracles are COMPOSED
+Listed by name in ``queries.py``'s QUERIES/ORACLES. Two of this wave's oracles are COMPOSED
 from already-proven oracle texts at registration time (the funnel nests
 the c4_rules / gopher_rules oracle SQL as CTEs), so the rule logic has
 exactly one SQL definition in the repo.
@@ -366,12 +364,3 @@ SELECT * FROM (
   FROM agg
 )
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["sitemap_robots_audit"] = q_sitemap_robots_audit
-    oracles["sitemap_robots_audit"] = SQL_SITEMAP_ROBOTS_AUDIT
-    queries["oov_rate"] = q_oov_rate
-    oracles["oov_rate"] = SQL_OOV_RATE
-    queries["quality_gate_funnel"] = q_quality_gate_funnel
-    oracles["quality_gate_funnel"] = _sql_quality_gate_funnel(oracles)

@@ -1,8 +1,6 @@
 """Eighteenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave17.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, and an operand-for-operand DuckDB oracle for every
@@ -460,14 +458,3 @@ FROM (
   FROM full_h, tot GROUP BY tot.n
 )
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["text_tiling_segments"] = q_text_tiling_segments
-    oracles["text_tiling_segments"] = SQL_TEXT_TILING_SEGMENTS
-    queries["audience_overlap"] = q_audience_overlap
-    oracles["audience_overlap"] = SQL_AUDIENCE_OVERLAP
-    queries["dup_rate_by_source"] = q_dup_rate_by_source
-    oracles["dup_rate_by_source"] = SQL_DUP_RATE_BY_SOURCE
-    queries["shard_skew_stats"] = q_shard_skew_stats
-    oracles["shard_skew_stats"] = SQL_SHARD_SKEW_STATS

@@ -1,8 +1,6 @@
 """Nineteenth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave18.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, integer accumulation with the zipf_fit fixed-point
@@ -361,12 +359,3 @@ SELECT ns.n_a AS n_old, ns.n_b AS n_new,
          AS mean_l2sq
 FROM m, ns
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["span_corruption_masks"] = q_span_corruption_masks
-    oracles["span_corruption_masks"] = SQL_SPAN_CORRUPTION_MASKS
-    queries["shard_mix_entropy"] = q_shard_mix_entropy
-    oracles["shard_mix_entropy"] = SQL_SHARD_MIX_ENTROPY
-    queries["embedding_drift"] = q_embedding_drift
-    oracles["embedding_drift"] = SQL_EMBEDDING_DRIFT

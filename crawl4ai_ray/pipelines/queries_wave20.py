@@ -165,10 +165,3 @@ SELECT CAST(COUNT(*) AS BIGINT) AS unique_chunks,
          AS char_dedup_ratio
 FROM store
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["depth_quality_profile"] = q_depth_quality_profile
-    oracles["depth_quality_profile"] = _sql_depth_quality_profile(oracles)
-    queries["cdc_dedup_ratio"] = q_cdc_dedup_ratio
-    oracles["cdc_dedup_ratio"] = _sql_cdc_dedup_ratio(oracles)

@@ -3,8 +3,7 @@
 family (IVF cells, PQ codebooks, b-bit minhash — SQ8 was the missing
 standard variant).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -207,8 +206,3 @@ SELECT q.vec_id AS query_id,
        CAST(COALESCE(h.n_hits, 0) AS DOUBLE) / {_SQ8_K} AS recall
 FROM q LEFT JOIN hits h ON h.query_id = q.vec_id
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["ann_recall_sq8"] = q_ann_recall_sq8
-    oracles["ann_recall_sq8"] = SQL_ANN_RECALL_SQ8

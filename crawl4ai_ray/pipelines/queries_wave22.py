@@ -1,8 +1,7 @@
 """Twenty-second-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: integer accumulation (zipf_fit fixed-point
 quantization for any sum of per-row float terms), scalar libm / POW
@@ -308,10 +307,3 @@ SELECT r.tok, r.c_even, r.c_odd, r.term_q,
        CAST(tot.chi2_total_q AS DOUBLE) / 1e9 AS chi2_total
 FROM r, tot WHERE r.rn <= {_VD_TOP}
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["lsh_band_curve"] = q_lsh_band_curve
-    oracles["lsh_band_curve"] = _sql_lsh_band_curve()
-    queries["vocab_drift_chi2"] = q_vocab_drift_chi2
-    oracles["vocab_drift_chi2"] = SQL_VOCAB_DRIFT_CHI2

@@ -1,8 +1,7 @@
 """Twenty-third-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. The lang-confusion oracle nests
+Listed by name in ``queries.py``'s QUERIES/ORACLES. The lang-confusion oracle nests
 the proven lang_id oracle as a CTE (registration-time composition, the
 quality_gate_funnel pattern).
 """
@@ -201,10 +200,3 @@ SELECT ns.n_a AS n_train, ns.n_b AS n_val, d.d_num,
                  / (CAST(ns.n_a AS DOUBLE) * CAST(ns.n_b AS DOUBLE)) END AS ks
 FROM d, ns
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["lang_confusion"] = q_lang_confusion
-    oracles["lang_confusion"] = _sql_lang_confusion(oracles)
-    queries["split_ks_test"] = q_split_ks_test
-    oracles["split_ks_test"] = SQL_SPLIT_KS_TEST

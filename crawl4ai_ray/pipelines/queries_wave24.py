@@ -1,8 +1,7 @@
 """Twenty-fourth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 New machinery this wave: ``stages/rank.py`` — distributed global ranking
 (TeraSort sample-boundary composition) + sorted-neighborhood windowed
@@ -525,14 +524,3 @@ SELECT ham.d AS hamming, CAST(COUNT(*) AS BIGINT) AS n_pairs,
 FROM ham JOIN j ON j.doc_id = ham.doc_id
 GROUP BY ham.d
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["snm_pairs"] = q_snm_pairs
-    oracles["snm_pairs"] = SQL_SNM_PAIRS
-    queries["events_watermark"] = q_events_watermark
-    oracles["events_watermark"] = SQL_EVENTS_WATERMARK
-    queries["bootstrap_mean_ci"] = q_bootstrap_mean_ci
-    oracles["bootstrap_mean_ci"] = _sql_bootstrap_mean_ci()
-    queries["simhash_radius_eval"] = q_simhash_radius_eval
-    oracles["simhash_radius_eval"] = SQL_SIMHASH_RADIUS_EVAL

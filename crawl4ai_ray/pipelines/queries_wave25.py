@@ -1,8 +1,7 @@
 """Twenty-fifth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 - harmonic_centrality: per-seed BFS distances via the DISJOINT-UNION
   layering trick (the bowtie_components pattern) — one label
@@ -409,12 +408,3 @@ SELECT doc_id, source,
             ELSE 0e0 END AS pr
 FROM r
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["harmonic_centrality"] = q_harmonic_centrality
-    oracles["harmonic_centrality"] = _sql_harmonic_centrality()
-    queries["ucb_crawl_sched"] = q_ucb_crawl_sched
-    oracles["ucb_crawl_sched"] = _sql_ucb_crawl_sched()
-    queries["source_percent_rank"] = q_source_percent_rank
-    oracles["source_percent_rank"] = SQL_SOURCE_PERCENT_RANK

@@ -1,8 +1,7 @@
 """Twenty-sixth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. blocking_eval nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. blocking_eval nests the
 snm_pairs oracle as a CTE at registration (the quality_gate_funnel
 composition pattern).
 """
@@ -269,12 +268,3 @@ SELECT url,
        array_to_string(rs[1:2], ',') AS surt_prefix
 FROM segs
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["decayed_counts"] = q_decayed_counts
-    oracles["decayed_counts"] = SQL_DECAYED_COUNTS
-    queries["blocking_eval"] = q_blocking_eval
-    oracles["blocking_eval"] = _sql_blocking_eval(oracles)
-    queries["surt_keys"] = q_surt_keys
-    oracles["surt_keys"] = _sql_surt_keys(sql_pages)

@@ -1,8 +1,7 @@
 """Twenty-seventh-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 - kcenter_coreset: greedy farthest-point (k-center / Gonzalez)
   representative selection over embeddings — the coreset primitive for
@@ -362,12 +361,3 @@ SELECT st.day, st.x, CAST(st.s AS BIGINT) AS s,
        CAST(CASE WHEN st.s > 2 * kk.k THEN 1 ELSE 0 END AS BIGINT) AS alarm
 FROM st, kk
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["kcenter_coreset"] = q_kcenter_coreset
-    oracles["kcenter_coreset"] = _sql_kcenter_coreset()
-    queries["isotonic_calibration"] = q_isotonic_calibration
-    oracles["isotonic_calibration"] = SQL_ISOTONIC_CALIBRATION
-    queries["cusum_alarm"] = q_cusum_alarm
-    oracles["cusum_alarm"] = SQL_CUSUM_ALARM

@@ -1,8 +1,7 @@
 """Twenty-eighth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 - priority_sample_est: Duffield–Lund–Thorup priority sampling WITH its
   subset-sum estimator (the part Efraimidis–Spirakis weighted_sample
@@ -409,12 +408,3 @@ cov{t} AS MATERIALIZED (
         for t in range(_FS_ROUNDS)
     )
     return "WITH " + ",\n".join(parts) + "\n" + sel
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["priority_sample_est"] = q_priority_sample_est
-    oracles["priority_sample_est"] = SQL_PRIORITY_SAMPLE_EST
-    queries["lang_length_quantiles"] = q_lang_length_quantiles
-    oracles["lang_length_quantiles"] = SQL_LANG_LENGTH_QUANTILES
-    queries["facility_select"] = q_facility_select
-    oracles["facility_select"] = _sql_facility_select()

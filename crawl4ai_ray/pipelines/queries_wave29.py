@@ -1,8 +1,7 @@
 """Twenty-ninth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 - jl_projection_eval: ±1 Johnson–Lindenstrauss projection with an
   integer-exact distance-distortion readout — completes the embedding
@@ -497,12 +496,3 @@ SELECT ag.a, ag.b, ag.is_match, ag.g_key, ag.g_len, ag.g_ft,
           AS BIGINT) AS score_q
 FROM ag, w
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["jl_projection_eval"] = q_jl_projection_eval
-    oracles["jl_projection_eval"] = _sql_jl_projection_eval()
-    queries["ring_assign"] = q_ring_assign
-    oracles["ring_assign"] = _sql_ring_assign(sql_pages)
-    queries["fellegi_sunter"] = q_fellegi_sunter
-    oracles["fellegi_sunter"] = _sql_fellegi_sunter(oracles)

@@ -1,7 +1,6 @@
 """Thirtieth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. f1_threshold_sweep nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. f1_threshold_sweep nests the
 fellegi_sunter oracle as a CTE at registration.
 """
 
@@ -413,12 +412,3 @@ SELECT threshold_q, tp, fp, fn, precision, recall, f1,
        CAST(CASE WHEN rn = 1 THEN 1 ELSE 0 END AS BIGINT) AS best
 FROM rk
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["kneser_ney_bigrams"] = q_kneser_ney_bigrams
-    oracles["kneser_ney_bigrams"] = SQL_KNESER_NEY_BIGRAMS
-    queries["good_turing_vocab"] = q_good_turing_vocab
-    oracles["good_turing_vocab"] = SQL_GOOD_TURING_VOCAB
-    queries["f1_threshold_sweep"] = q_f1_threshold_sweep
-    oracles["f1_threshold_sweep"] = _sql_f1_threshold_sweep(oracles)

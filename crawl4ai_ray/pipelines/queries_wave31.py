@@ -1,8 +1,7 @@
 """Thirty-first-wave operators (round-3 continuation session,
 2026-08-20) — the graph-decomposition completion wave.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 - ktruss_edges: k-truss decomposition (edge-support peeling) — the
   triangle-density sibling of kcore's degree peeling.
@@ -416,12 +415,3 @@ SELECT nk.k, nk.n_k, COALESCE(ek.e_k, 0) AS e_k,
 FROM nk LEFT JOIN ek ON ek.k = nk.k
 WHERE nk.n_k >= 2
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["ktruss_edges"] = q_ktruss_edges
-    oracles["ktruss_edges"] = _sql_ktruss_edges()
-    queries["onion_layers"] = q_onion_layers
-    oracles["onion_layers"] = _sql_onion_layers()
-    queries["rich_club"] = q_rich_club
-    oracles["rich_club"] = SQL_RICH_CLUB

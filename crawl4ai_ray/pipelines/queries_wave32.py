@@ -1,8 +1,7 @@
 """Thirty-second-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. rocchio_expansion nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. rocchio_expansion nests the
 bm25_topk oracle as a CTE at registration.
 """
 
@@ -348,12 +347,3 @@ rk AS (
 )
 SELECT term, tf_fb, df, weight_q FROM rk WHERE rn <= {_RC_TOP_TERMS}
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["wfq_order"] = q_wfq_order
-    oracles["wfq_order"] = _sql_wfq_order(sql_pages)
-    queries["table_profile"] = q_table_profile
-    oracles["table_profile"] = _sql_table_profile()
-    queries["rocchio_expansion"] = q_rocchio_expansion
-    oracles["rocchio_expansion"] = _sql_rocchio_expansion(oracles)

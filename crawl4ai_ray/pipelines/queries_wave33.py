@@ -1,8 +1,7 @@
 """Thirty-third-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. kendall_tau nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. kendall_tau nests the
 bm25_topk oracle; ring_rebalance_eval shares wave 29's ring-point
 derivation.
 """
@@ -405,12 +404,3 @@ SELECT n_hosts, n_on_removed, n_moved, n_moved_other,
          AS collateral_frac
 FROM s
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["kendall_tau"] = q_kendall_tau
-    oracles["kendall_tau"] = _sql_kendall_tau(oracles)
-    queries["bloom_fpr_curve"] = q_bloom_fpr_curve
-    oracles["bloom_fpr_curve"] = _sql_bloom_fpr_curve(sql_pages)
-    queries["ring_rebalance_eval"] = q_ring_rebalance_eval
-    oracles["ring_rebalance_eval"] = _sql_ring_rebalance_eval(sql_pages)

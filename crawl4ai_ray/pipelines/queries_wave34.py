@@ -1,8 +1,7 @@
 """Thirty-fourth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. gate_order_opt nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. gate_order_opt nests the
 gopher_rules oracle as a CTE at registration.
 """
 
@@ -384,12 +383,3 @@ SELECT CAST(row_number() OVER (ORDER BY n_reject DESC, gate) AS BIGINT)
        CAST(n_reject AS DOUBLE) / CAST(n AS DOUBLE) AS reject_rate
 FROM agg
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["sprt_abtest"] = q_sprt_abtest
-    oracles["sprt_abtest"] = SQL_SPRT_ABTEST
-    queries["quantile_normalize"] = q_quantile_normalize
-    oracles["quantile_normalize"] = SQL_QUANTILE_NORMALIZE
-    queries["gate_order_opt"] = q_gate_order_opt
-    oracles["gate_order_opt"] = _sql_gate_order_opt(oracles)

@@ -1,8 +1,7 @@
 """Thirty-fifth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -439,12 +438,3 @@ SELECT agg.digit, agg.n,
                   + 5e-1) AS BIGINT) AS benford_q
 FROM agg, tot
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["pagerank_convergence"] = q_pagerank_convergence
-    oracles["pagerank_convergence"] = _sql_pagerank_convergence()
-    queries["neg_sampling_dist"] = q_neg_sampling_dist
-    oracles["neg_sampling_dist"] = SQL_NEG_SAMPLING_DIST
-    queries["benford_audit"] = q_benford_audit
-    oracles["benford_audit"] = SQL_BENFORD_AUDIT

@@ -1,8 +1,7 @@
 """Thirty-sixth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. cascade_rerank nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. cascade_rerank nests the
 bm25_topk oracle.
 
 Token embeddings here are the deterministic md5-slice stand-in (8 int
@@ -344,12 +343,3 @@ rk AS (
 SELECT prefix, CAST(rank AS BIGINT) AS rank, token, c
 FROM rk WHERE rank <= {_PFX_TOPK}
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["colbert_maxsim"] = q_colbert_maxsim
-    oracles["colbert_maxsim"] = _sql_colbert_maxsim()
-    queries["cascade_rerank"] = q_cascade_rerank
-    oracles["cascade_rerank"] = _sql_cascade_rerank(oracles)
-    queries["prefix_completions"] = q_prefix_completions
-    oracles["prefix_completions"] = SQL_PREFIX_COMPLETIONS

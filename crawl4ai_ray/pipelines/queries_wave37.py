@@ -1,8 +1,7 @@
 """Thirty-seventh-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. trustrank_delta nests BOTH the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. trustrank_delta nests BOTH the
 pagerank and personalized_pagerank oracle texts.
 """
 
@@ -543,12 +542,3 @@ FROM em{it}"""
         for it in range(1, _DI_ITERS + 1)
     )
     return "".join(parts) + "\n" + sels
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["trustrank_delta"] = q_trustrank_delta
-    oracles["trustrank_delta"] = _sql_trustrank_delta(oracles)
-    queries["markov_next_eval"] = q_markov_next_eval
-    oracles["markov_next_eval"] = SQL_MARKOV_NEXT_EVAL
-    queries["deleted_interpolation"] = q_deleted_interpolation
-    oracles["deleted_interpolation"] = _sql_deleted_interpolation()

@@ -1,8 +1,7 @@
 """Thirty-eighth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -385,12 +384,3 @@ SELECT so.stat_obs,
             AS DOUBLE) / CAST({_PT_B + 1} AS DOUBLE) AS p_value
 FROM sp, so GROUP BY so.stat_obs
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["shuffle_runs_test"] = q_shuffle_runs_test
-    oracles["shuffle_runs_test"] = SQL_SHUFFLE_RUNS_TEST
-    queries["ewma_forecast"] = q_ewma_forecast
-    oracles["ewma_forecast"] = SQL_EWMA_FORECAST
-    queries["permutation_test"] = q_permutation_test
-    oracles["permutation_test"] = SQL_PERMUTATION_TEST

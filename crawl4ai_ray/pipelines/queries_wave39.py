@@ -1,8 +1,7 @@
 """Thirty-ninth-wave operators (round-3 continuation session,
 2026-08-20) — crawl-analytics wave.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. strategy_overlap and bm25_mrr
+Listed by name in ``queries.py``'s QUERIES/ORACLES. strategy_overlap and bm25_mrr
 nest existing oracle texts.
 """
 
@@ -318,12 +317,3 @@ SELECT CAST(f.first_rel AS BIGINT) AS first_rel_rank,
        CAST(p.p5 AS DOUBLE) / CAST({_MRR_K} AS DOUBLE) AS p_at_5
 FROM f, p
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["strategy_overlap"] = q_strategy_overlap
-    oracles["strategy_overlap"] = _sql_strategy_overlap(oracles)
-    queries["aimd_rates"] = q_aimd_rates
-    oracles["aimd_rates"] = _sql_aimd_rates(sql_pages)
-    queries["bm25_mrr"] = q_bm25_mrr
-    oracles["bm25_mrr"] = _sql_bm25_mrr(oracles)

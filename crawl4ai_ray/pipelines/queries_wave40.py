@@ -1,7 +1,6 @@
 """Fortieth-wave operators (round-3 continuation session, 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. gate_kappa nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. gate_kappa nests the
 gopher_rules and c4_rules oracles; rank_degree_spearman nests pagerank.
 """
 
@@ -400,12 +399,3 @@ SELECT n11, n10, n01, n00,
        END AS kappa
 FROM t
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["rank_degree_spearman"] = q_rank_degree_spearman
-    oracles["rank_degree_spearman"] = _sql_rank_degree_spearman()
-    queries["otsu_threshold"] = q_otsu_threshold
-    oracles["otsu_threshold"] = SQL_OTSU_THRESHOLD
-    queries["gate_kappa"] = q_gate_kappa
-    oracles["gate_kappa"] = _sql_gate_kappa(oracles)

@@ -1,8 +1,7 @@
 """Forty-first-wave operators (round-3 continuation session,
 2026-08-20) — text-generation-eval wave.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -464,12 +463,3 @@ SELECT q.term_a, q.term_b, q.df_a, q.df_b, q.df_ab, q.npmi_q,
        mq.m AS mean_npmi
 FROM q, mq
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["rouge_pairs"] = q_rouge_pairs
-    oracles["rouge_pairs"] = SQL_ROUGE_PAIRS
-    queries["bleu_pairs"] = q_bleu_pairs
-    oracles["bleu_pairs"] = SQL_BLEU_PAIRS
-    queries["term_coherence"] = q_term_coherence
-    oracles["term_coherence"] = SQL_TERM_COHERENCE

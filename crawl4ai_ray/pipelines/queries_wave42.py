@@ -1,8 +1,7 @@
 """Forty-second-wave operators (round-3 continuation session,
 2026-08-20) — sequence-modeling wave.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -317,12 +316,3 @@ SELECT rowt.prev, rowt.rc AS n_pairs, hq.h_cond_q,
        CAST(num.n AS DOUBLE) / (CAST(tot.t AS DOUBLE) * 1e12) AS h_rate
 FROM rowt JOIN hq USING (prev), tot, num
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["hmm_viterbi_bursts"] = q_hmm_viterbi_bursts
-    oracles["hmm_viterbi_bursts"] = SQL_HMM_VITERBI_BURSTS
-    queries["seasonal_naive_eval"] = q_seasonal_naive_eval
-    oracles["seasonal_naive_eval"] = SQL_SEASONAL_NAIVE_EVAL
-    queries["markov_entropy_rate"] = q_markov_entropy_rate
-    oracles["markov_entropy_rate"] = SQL_MARKOV_ENTROPY_RATE

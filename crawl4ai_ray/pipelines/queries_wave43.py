@@ -1,8 +1,7 @@
 """Forty-third-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``. rbo_rankings nests the
+Listed by name in ``queries.py``'s QUERIES/ORACLES. rbo_rankings nests the
 bm25_topk and colbert_maxsim oracles; gate_odds_ratio nests the
 gate_kappa oracle.
 """
@@ -280,12 +279,3 @@ SELECT n11, n10, n01, n00,
                   * 1e9 + 5e-1) AS BIGINT) AS ci_hi_q
 FROM k
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["rbo_rankings"] = q_rbo_rankings
-    oracles["rbo_rankings"] = _sql_rbo_rankings(oracles)
-    queries["holt_forecast"] = q_holt_forecast
-    oracles["holt_forecast"] = SQL_HOLT_FORECAST
-    queries["gate_odds_ratio"] = q_gate_odds_ratio
-    oracles["gate_odds_ratio"] = _sql_gate_odds_ratio(oracles)

@@ -1,8 +1,7 @@
 """Forty-fourth-wave operators (round-3 continuation session,
 2026-08-20).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -357,12 +356,3 @@ SELECT n_features, CAST({_FH_BUCKETS} AS BIGINT) AS n_buckets,
                   * 1e6 + 5e-1) AS BIGINT) AS expect_occupied_q
 FROM s
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["acf_daily"] = q_acf_daily
-    oracles["acf_daily"] = SQL_ACF_DAILY
-    queries["decision_stump"] = q_decision_stump
-    oracles["decision_stump"] = SQL_DECISION_STUMP
-    queries["feature_hash_audit"] = q_feature_hash_audit
-    oracles["feature_hash_audit"] = SQL_FEATURE_HASH_AUDIT

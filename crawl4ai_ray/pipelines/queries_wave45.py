@@ -1,8 +1,7 @@
 """Forty-fifth-wave operators (round-3 continuation session,
 2026-08-20) — robust statistics wave.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -262,12 +261,3 @@ SELECT n1, n2, m AS overlap, tot AS n_true,
                  / CAST(m AS DOUBLE) END AS n_est
 FROM s
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["theil_sen_trend"] = q_theil_sen_trend
-    oracles["theil_sen_trend"] = SQL_THEIL_SEN_TREND
-    queries["mann_kendall"] = q_mann_kendall
-    oracles["mann_kendall"] = SQL_MANN_KENDALL
-    queries["capture_recapture"] = q_capture_recapture
-    oracles["capture_recapture"] = _sql_capture_recapture(sql_pages)

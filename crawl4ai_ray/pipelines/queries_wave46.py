@@ -1,8 +1,7 @@
 """Forty-sixth-wave operators (round-3 continuation session,
 2026-08-20) — crawl-operations wave.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -367,12 +366,3 @@ SELECT host, CAST(win AS BIGINT) AS win, n, fails,
                  THEN 1 ELSE 0 END AS BIGINT) AS alert
 FROM w
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["neyman_allocation"] = q_neyman_allocation
-    oracles["neyman_allocation"] = SQL_NEYMAN_ALLOCATION
-    queries["ttl_optimize"] = q_ttl_optimize
-    oracles["ttl_optimize"] = _sql_ttl_optimize(sql_pages)
-    queries["error_budget_burn"] = q_error_budget_burn
-    oracles["error_budget_burn"] = _sql_error_budget_burn(sql_pages)

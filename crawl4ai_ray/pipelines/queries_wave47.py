@@ -1,8 +1,7 @@
 """Forty-seventh-wave operators (round-3 continuation session,
 2026-08-21) — cache modeling, preference ranking, optimal stopping.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -576,14 +575,3 @@ def q_lru_mrc_sampled(sf_dir: str):
     md5-key sampling at rate 1/4, distances rescaled ×4 to full-stream
     units (see q_lru_mrc docstring)."""
     return q_lru_mrc(sf_dir, rate_num=1, rate_den=4)
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["lru_mrc"] = q_lru_mrc
-    oracles["lru_mrc"] = SQL_LRU_MRC
-    queries["lru_mrc_sampled"] = q_lru_mrc_sampled
-    oracles["lru_mrc_sampled"] = SQL_LRU_MRC_SAMPLED
-    queries["bradley_terry"] = q_bradley_terry
-    oracles["bradley_terry"] = _sql_bradley_terry()
-    queries["secretary_admission"] = q_secretary_admission
-    oracles["secretary_admission"] = _sql_secretary(sql_pages)

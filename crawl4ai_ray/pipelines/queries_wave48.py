@@ -1,8 +1,7 @@
 """Forty-eighth-wave operators (round-3 continuation session,
 2026-08-21) — DP release, stylometry, changepoint detection.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -401,12 +400,3 @@ FROM costs
 ORDER BY cost_q, tau_hb
 LIMIT 1
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["dp_host_counts"] = q_dp_host_counts
-    oracles["dp_host_counts"] = _sql_dp_host_counts(sql_pages)
-    queries["burrows_delta"] = q_burrows_delta
-    oracles["burrows_delta"] = SQL_BURROWS_DELTA
-    queries["changepoint_binseg"] = q_changepoint_binseg
-    oracles["changepoint_binseg"] = SQL_CHANGEPOINT_BINSEG

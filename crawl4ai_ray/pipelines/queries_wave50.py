@@ -1,8 +1,7 @@
 """Fiftieth-wave operators (round-3 continuation session, 2026-08-21)
 — click-model EM, distribution drift, privacy audit.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -427,12 +426,3 @@ SELECT source, lang, n_chars // {_KA_W} AS len_b,
 FROM documents
 GROUP BY source, lang, n_chars // {_KA_W}
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["pbm_click_model"] = q_pbm_click_model
-    oracles["pbm_click_model"] = _sql_pbm()
-    queries["psi_drift"] = q_psi_drift
-    oracles["psi_drift"] = SQL_PSI_DRIFT
-    queries["k_anonymity"] = q_k_anonymity
-    oracles["k_anonymity"] = SQL_K_ANONYMITY

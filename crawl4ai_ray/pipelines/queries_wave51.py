@@ -1,8 +1,7 @@
 """Fifty-first-wave operators (round-3 continuation session,
 2026-08-21) — survey raking, tail-index estimation, causal DiD.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -362,12 +361,3 @@ SELECT
   - ((SELECT mq FROM m WHERE treated = 0 AND post = 1)
      - (SELECT mq FROM m WHERE treated = 0 AND post = 0)) AS did_q
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["ipf_raking"] = q_ipf_raking
-    oracles["ipf_raking"] = _sql_ipf_raking()
-    queries["hill_tail_index"] = q_hill_tail_index
-    oracles["hill_tail_index"] = SQL_HILL_TAIL_INDEX
-    queries["diff_in_diff"] = q_diff_in_diff
-    oracles["diff_in_diff"] = SQL_DIFF_IN_DIFF

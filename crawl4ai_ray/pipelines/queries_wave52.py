@@ -1,8 +1,7 @@
 """Fifty-second-wave operators (round-3 continuation session,
 2026-08-21) — optimal transport, local DP, queueing.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -323,12 +322,3 @@ SELECT host, n,
        CAST({_MM1_DAYS} AS BIGINT) * {_MM1_Q} // ({cap} - n) AS w_days_q
 FROM c
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["wasserstein_1d"] = q_wasserstein_1d
-    oracles["wasserstein_1d"] = SQL_WASSERSTEIN_1D
-    queries["randomized_response"] = q_randomized_response
-    oracles["randomized_response"] = SQL_RANDOMIZED_RESPONSE
-    queries["mm1_politeness"] = q_mm1_politeness
-    oracles["mm1_politeness"] = _sql_mm1(sql_pages)

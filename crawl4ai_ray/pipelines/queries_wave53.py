@@ -1,8 +1,7 @@
 """Fifty-third-wave operators (round-3 continuation session,
 2026-08-21) — AMS sketch, PCA power iteration, CUPED.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -412,12 +411,3 @@ SELECT n AS n_users,
          AS rho2_q
 FROM d
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["ams_f2"] = q_ams_f2
-    oracles["ams_f2"] = _sql_ams_f2(sql_pages)
-    queries["pca_power_iteration"] = q_pca_power_iteration
-    oracles["pca_power_iteration"] = _sql_pca()
-    queries["cuped_adjustment"] = q_cuped_adjustment
-    oracles["cuped_adjustment"] = SQL_CUPED_ADJUSTMENT

@@ -1,8 +1,7 @@
 """Fifty-fourth-wave operators (round-3 continuation session,
 2026-08-21) — k-segmentation, DP selection, partial correlation.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -365,12 +364,3 @@ SELECT n, r_xy, r_xz, r_yz,
          / sqrt((1e0 - r_xz * r_xz) * (1e0 - r_yz * r_yz)) AS r_partial
 FROM rr
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["ksegmentation"] = q_ksegmentation
-    oracles["ksegmentation"] = SQL_KSEGMENTATION
-    queries["exp_mechanism"] = q_exp_mechanism
-    oracles["exp_mechanism"] = _sql_exp_mechanism(sql_pages)
-    queries["partial_correlation"] = q_partial_correlation
-    oracles["partial_correlation"] = SQL_PARTIAL_CORRELATION

@@ -1,8 +1,7 @@
 """Fifty-fifth-wave operators (round-3 continuation session,
 2026-08-21) — Dirichlet query likelihood, log-rank test, EDF capacity.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -418,12 +417,3 @@ SELECT host, ttl_q, util_q, cum_util_q,
             AS BIGINT) AS admit
 FROM c
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["qld_topk"] = q_qld_topk
-    oracles["qld_topk"] = _sql_qld()
-    queries["logrank_test"] = q_logrank_test
-    oracles["logrank_test"] = SQL_LOGRANK_TEST
-    queries["edf_feasibility"] = q_edf_feasibility
-    oracles["edf_feasibility"] = _sql_edf(sql_pages)

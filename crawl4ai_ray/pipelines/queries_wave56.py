@@ -1,8 +1,7 @@
 """Fifty-sixth-wave operators (round-3 continuation session,
 2026-08-21) — graph robustness, robust outliers, relevance feedback.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -435,14 +434,3 @@ FROM sc
 ORDER BY weight_q DESC, term
 LIMIT {_RM3_TOP_TERMS}
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    from .queries_wave55 import _sql_qld
-
-    queries["graph_robustness"] = q_graph_robustness
-    oracles["graph_robustness"] = _sql_graph_robustness()
-    queries["mad_outliers"] = q_mad_outliers
-    oracles["mad_outliers"] = _sql_mad_outliers(sql_pages)
-    queries["rm3_expansion"] = q_rm3_expansion
-    oracles["rm3_expansion"] = _sql_rm3(_sql_qld())

@@ -1,8 +1,7 @@
 """Fifty-seventh-wave operators (round-3 continuation session,
 2026-08-21) — FDR control, overdispersion, Copeland fusion.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -412,15 +411,3 @@ SELECT doc_id, copeland,
 FROM cop
 ORDER BY copeland DESC, doc_id
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["bh_fdr"] = q_bh_fdr
-    oracles["bh_fdr"] = _sql_bh_fdr(sql_pages)
-    queries["overdispersion"] = q_overdispersion
-    oracles["overdispersion"] = SQL_OVERDISPERSION
-    from .queries_wave55 import _sql_qld
-
-    bm_top = oracles["bm25_topk"].replace("LIMIT 10", f"LIMIT {_CF_TOP}")
-    queries["copeland_fusion"] = q_copeland_fusion
-    oracles["copeland_fusion"] = _sql_copeland(bm_top, _sql_qld())

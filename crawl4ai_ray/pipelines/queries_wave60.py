@@ -1,8 +1,7 @@
 """Sixtieth-wave operators (round-3 continuation session, 2026-08-21)
 — naive Bayes language ID, Merkle integrity root, Cochran's Q.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -507,12 +506,3 @@ SELECT g1, g2, g3,
                  / CAST(3 * sr - sr2 AS DOUBLE) END AS q
 FROM agg
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["naive_bayes_langid"] = q_naive_bayes_langid
-    oracles["naive_bayes_langid"] = SQL_NAIVE_BAYES
-    queries["merkle_root"] = q_merkle_root
-    oracles["merkle_root"] = _sql_merkle()
-    queries["cochran_q"] = q_cochran_q
-    oracles["cochran_q"] = _sql_cochran_q(oracles)

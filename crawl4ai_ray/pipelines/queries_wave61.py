@@ -1,8 +1,7 @@
 """Sixty-first-wave operators (round-3 continuation session,
 2026-08-21) — IPS de-biasing, zone-map pruning, l-diversity.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -389,12 +388,3 @@ SELECT source, n_chars // {_LD_W} AS len_b,
 FROM documents
 GROUP BY source, n_chars // {_LD_W}
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["ips_debias"] = q_ips_debias
-    oracles["ips_debias"] = _sql_ips()
-    queries["zone_map_pruning"] = q_zone_map_pruning
-    oracles["zone_map_pruning"] = SQL_ZONE_MAP
-    queries["l_diversity"] = q_l_diversity
-    oracles["l_diversity"] = SQL_L_DIVERSITY

@@ -1,8 +1,7 @@
 """Sixty-second-wave operators (round-3 continuation session,
 2026-08-21) — pooled QC, SRM guard, winsorized means.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -377,12 +376,3 @@ SELECT source, n, lo, hi,
        wins * {_W62_Q} // n AS wins_mean_q
 FROM m
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["pooled_qc"] = q_pooled_qc
-    oracles["pooled_qc"] = _sql_pooled_qc(oracles)
-    queries["srm_check"] = q_srm_check
-    oracles["srm_check"] = SQL_SRM_CHECK
-    queries["winsorized_means"] = q_winsorized_means
-    oracles["winsorized_means"] = SQL_WINSORIZED_MEANS

@@ -2,8 +2,7 @@
 2026-08-21) — energy distance, sweep-line concurrency, successive
 halving.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -441,12 +440,3 @@ SELECT hosts.host,
                  THEN 1 ELSE 0 END AS BIGINT) AS winner
 FROM hosts
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["energy_distance"] = q_energy_distance
-    oracles["energy_distance"] = SQL_ENERGY_DISTANCE
-    queries["peak_concurrency"] = q_peak_concurrency
-    oracles["peak_concurrency"] = SQL_PEAK_CONCURRENCY
-    queries["successive_halving"] = q_successive_halving
-    oracles["successive_halving"] = _sql_successive_halving(sql_pages)

@@ -1,8 +1,7 @@
 """Sixty-fourth-wave operators (round-3 continuation session,
 2026-08-21) — bounded weighted shortest paths, IV estimation, ERR.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -401,16 +400,3 @@ FROM bmp
 UNION ALL
 SELECT 'qld', CAST({terms('qlp')} AS BIGINT) FROM qlp
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["khop_shortest_paths"] = q_khop_shortest_paths
-    oracles["khop_shortest_paths"] = _sql_ksp()
-    queries["iv_wald"] = q_iv_wald
-    oracles["iv_wald"] = SQL_IV_WALD
-
-    from .queries_wave55 import _sql_qld
-
-    bm_top = oracles["bm25_topk"].replace("LIMIT 10", f"LIMIT {_ERR_K}")
-    queries["err_metric"] = q_err_metric
-    oracles["err_metric"] = _sql_err(bm_top, _sql_qld())

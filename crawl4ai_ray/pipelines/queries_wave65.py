@@ -1,8 +1,7 @@
 """Sixty-fifth-wave operators (round-3 continuation session,
 2026-08-21) — source OT matrix, percolation curve, Erlang B.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -374,12 +373,3 @@ e2 AS (SELECT *, a * b1 / (2.0 + a * b1) AS b2 FROM e1),
 e3 AS (SELECT *, a * b2 / (3.0 + a * b2) AS b3 FROM e2)
 SELECT host, n, a, b1, b2, b3 FROM e3
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["w1_source_matrix"] = q_w1_source_matrix
-    oracles["w1_source_matrix"] = SQL_W1_SOURCE_MATRIX
-    queries["percolation_curve"] = q_percolation_curve
-    oracles["percolation_curve"] = _sql_percolation()
-    queries["erlang_b"] = q_erlang_b
-    oracles["erlang_b"] = _sql_erlang_b(sql_pages)

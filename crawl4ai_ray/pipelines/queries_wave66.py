@@ -1,8 +1,7 @@
 """Sixty-sixth-wave operators (round-3 continuation session,
 2026-08-21) — Holm step-down, MI feature ranking, shard affinity.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -465,12 +464,3 @@ SELECT 'random',
          * 1000000 // tp.p
 FROM tp
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["holm_bonferroni"] = q_holm_bonferroni
-    oracles["holm_bonferroni"] = _sql_holm()
-    queries["mi_feature_ranking"] = q_mi_feature_ranking
-    oracles["mi_feature_ranking"] = _sql_mi(oracles)
-    queries["affinity_gain"] = q_affinity_gain
-    oracles["affinity_gain"] = _sql_affinity_md5(sql_pages)

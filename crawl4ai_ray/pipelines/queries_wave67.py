@@ -2,8 +2,7 @@
 2026-08-21) — STL-lite decomposition, ICC design effect, Lindley
 waits.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -457,12 +456,3 @@ FROM (
 )
 GROUP BY host
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["stl_decompose"] = q_stl_decompose
-    oracles["stl_decompose"] = SQL_STL_DECOMPOSE
-    queries["icc_design_effect"] = q_icc_design_effect
-    oracles["icc_design_effect"] = SQL_ICC_DESIGN_EFFECT
-    queries["lindley_waits"] = q_lindley_waits
-    oracles["lindley_waits"] = _sql_lindley(sql_pages)

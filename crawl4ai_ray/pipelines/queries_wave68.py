@@ -1,8 +1,7 @@
 """Sixty-eighth-wave operators (round-3 continuation session,
 2026-08-21) — SALSA, Markov stationary distribution, Hoover index.
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -378,12 +377,3 @@ SELECT t.m AS n_hosts, t.nn AS n_pages, s.num AS abs_num,
          AS hoover_q
 FROM t, s
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["salsa_scores"] = q_salsa_scores
-    oracles["salsa_scores"] = _sql_salsa()
-    queries["markov_stationary"] = q_markov_stationary
-    oracles["markov_stationary"] = _sql_markov_stationary()
-    queries["hoover_index"] = q_hoover_index
-    oracles["hoover_index"] = _sql_hoover(sql_pages)

@@ -11,7 +11,7 @@ deterministic synthesis (6 tokens/line, 5 lines/page, Flate-compressed)
 PDF: it reconstructs the expected pages from the source text with list
 ops, so any parser/writer defect breaks the hash.
 
-Registered into the main query/oracle registries via ``register()``.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 """
 
 from __future__ import annotations
@@ -20,42 +20,12 @@ import pyarrow as pa
 
 import ray
 
-_TOKENS_PER_LINE = 6
-_LINES_PER_PAGE = 5
-
-
-def _synth_pdf_batch(batch: pa.Table) -> pa.Table:
-    from ..stages.pdf import make_pdf
-
-    ids = batch.column("doc_id").to_pylist()
-    texts = batch.column("text").to_pylist()
-    pdfs = []
-    for rid, t in zip(ids, texts):
-        toks = (t or "").split()
-        lines = [
-            " ".join(toks[i : i + _TOKENS_PER_LINE])
-            for i in range(0, len(toks), _TOKENS_PER_LINE)
-        ]
-        pages = [
-            lines[j : j + _LINES_PER_PAGE]
-            for j in range(0, len(lines), _LINES_PER_PAGE)
-        ]
-        pdfs.append(make_pdf(pages, title=f"doc {rid}"))
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, pa.int64()),
-            "pdf": pa.array(pdfs, pa.binary()),
-        }
-    )
-
-
-def _pdf_corpus(sf_dir: str):
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return docs.map_batches(
-        _synth_pdf_batch, batch_format="pyarrow", batch_size=64
-    )
+from ..stages.pdf import (
+    LINES_PER_PAGE,
+    TOKENS_PER_LINE,
+    pdf_corpus,
+    synth_pdf_batch,
+)
 
 
 def q_pdf_pages(sf_dir: str):
@@ -67,7 +37,7 @@ def q_pdf_pages(sf_dir: str):
     writer→zlib→parser→text-operator chain must be lossless to match."""
     from ..stages.pdf import pdf_pipeline
 
-    out = pdf_pipeline(_pdf_corpus(sf_dir), batch_size=32)
+    out = pdf_pipeline(pdf_corpus(sf_dir), batch_size=32)
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -90,24 +60,24 @@ WITH toks AS (
 ),
 nl AS (
   SELECT doc_id, t,
-         CAST((len(t) + {_TOKENS_PER_LINE - 1}) // {_TOKENS_PER_LINE}
+         CAST((len(t) + {TOKENS_PER_LINE - 1}) // {TOKENS_PER_LINE}
               AS BIGINT) AS n_lines
   FROM toks WHERE len(t) > 0
 ),
 lines AS (
   SELECT doc_id, u.i AS line_idx,
          array_to_string(
-           t[(u.i * {_TOKENS_PER_LINE} + 1):((u.i + 1) * {_TOKENS_PER_LINE})],
+           t[(u.i * {TOKENS_PER_LINE} + 1):((u.i + 1) * {TOKENS_PER_LINE})],
            ' '
          ) AS line
   FROM nl, UNNEST(range(0, n_lines)) AS u(i)
 ),
 pages AS (
   SELECT doc_id,
-         CAST(line_idx // {_LINES_PER_PAGE} + 1 AS BIGINT) AS page_number,
+         CAST(line_idx // {LINES_PER_PAGE} + 1 AS BIGINT) AS page_number,
          string_agg(line, chr(10) ORDER BY line_idx) AS raw_text
   FROM lines
-  GROUP BY doc_id, line_idx // {_LINES_PER_PAGE}
+  GROUP BY doc_id, line_idx // {LINES_PER_PAGE}
 )
 SELECT doc_id, page_number, raw_text,
        CAST(length(raw_text) AS BIGINT) AS n_chars
@@ -122,7 +92,7 @@ def q_pdf_metadata(sf_dir: str):
     n_pages, encrypted)."""
     from ..stages.pdf import pdf_metadata_batch
 
-    out = _pdf_corpus(sf_dir).map_batches(
+    out = pdf_corpus(sf_dir).map_batches(
         pdf_metadata_batch, batch_format="pyarrow", batch_size=32
     )
 
@@ -150,8 +120,8 @@ SELECT doc_id,
        'doc ' || doc_id AS title,
        'crawl4ai_ray' AS producer,
        CAST(CASE WHEN len(t) = 0 THEN 0
-                 ELSE ((len(t) + {_TOKENS_PER_LINE - 1}) // {_TOKENS_PER_LINE}
-                       + {_LINES_PER_PAGE - 1}) // {_LINES_PER_PAGE}
+                 ELSE ((len(t) + {TOKENS_PER_LINE - 1}) // {TOKENS_PER_LINE}
+                       + {LINES_PER_PAGE - 1}) // {LINES_PER_PAGE}
             END AS BIGINT) AS n_pages,
        FALSE AS encrypted
 FROM toks
@@ -193,7 +163,7 @@ def q_pdf_markdown_stats(sf_dir: str):
     guarded = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(check_alphabet, batch_format="pyarrow").map_batches(
-        _synth_pdf_batch, batch_format="pyarrow", batch_size=64
+        synth_pdf_batch, batch_format="pyarrow", batch_size=64
     )
     out = pdf_pipeline(guarded, batch_size=32)
 
@@ -224,27 +194,27 @@ WITH toks AS (
 ),
 nl AS (
   SELECT doc_id, t,
-         CAST((len(t) + {_TOKENS_PER_LINE - 1}) // {_TOKENS_PER_LINE}
+         CAST((len(t) + {TOKENS_PER_LINE - 1}) // {TOKENS_PER_LINE}
               AS BIGINT) AS n_lines
   FROM toks WHERE len(t) > 0
 ),
 lines AS (
   SELECT doc_id, u.i AS line_idx,
          array_to_string(
-           t[(u.i * {_TOKENS_PER_LINE} + 1):((u.i + 1) * {_TOKENS_PER_LINE})],
+           t[(u.i * {TOKENS_PER_LINE} + 1):((u.i + 1) * {TOKENS_PER_LINE})],
            ' '
          ) AS line
   FROM nl, UNNEST(range(0, n_lines)) AS u(i)
 ),
 pages AS (
   SELECT doc_id,
-         CAST(line_idx // {_LINES_PER_PAGE} + 1 AS BIGINT) AS page_number,
+         CAST(line_idx // {LINES_PER_PAGE} + 1 AS BIGINT) AS page_number,
          string_agg(line, chr(10) ORDER BY line_idx) AS raw,
          CAST(COUNT(*) AS BIGINT) AS pl,
-         MIN(CASE WHEN line_idx % {_LINES_PER_PAGE} = 0 THEN line END)
+         MIN(CASE WHEN line_idx % {LINES_PER_PAGE} = 0 THEN line END)
            AS first_line
   FROM lines
-  GROUP BY doc_id, line_idx // {_LINES_PER_PAGE}
+  GROUP BY doc_id, line_idx // {LINES_PER_PAGE}
 ),
 md AS (
   -- title rule fires on every multi-line page (first line = 6 tokens);
@@ -261,12 +231,3 @@ SELECT doc_id, CAST(SUM(length(md_text)) AS BIGINT) AS md_chars,
 FROM md
 GROUP BY doc_id
 """
-
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["pdf_pages"] = q_pdf_pages
-    oracles["pdf_pages"] = SQL_PDF_PAGES
-    queries["pdf_metadata"] = q_pdf_metadata
-    oracles["pdf_metadata"] = SQL_PDF_METADATA
-    queries["pdf_markdown_stats"] = q_pdf_markdown_stats
-    oracles["pdf_markdown_stats"] = SQL_PDF_MD_STATS

@@ -1,9 +1,6 @@
 """Eighth-wave operators (round-3 continuation session, 2026-08-19).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` with the shared SQL CTE prefixes,
-so there is no circular import and the driver contract
-(``__ray_entry__.queries() / oracle_sql()``) is unchanged.
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 Every query here follows the house rules: Arrow batches end to end,
 map-side partials before any groupby, broadcast small sides via
@@ -192,7 +189,7 @@ FROM perdoc GROUP BY chunk_hash
 
 
 # ---------------------------------------------------------------------------
-# url_change_rate — Cho–Garcia-Molina recrawl-rate estimation
+# snapshot observation log (recrawl_pipeline in wave 10 reads it)
 # ---------------------------------------------------------------------------
 
 _CR_SNAPS = 6
@@ -237,55 +234,6 @@ def _snapshot_history(sf_dir: str):
         )
 
     return docs.map_batches(emit, batch_format="pyarrow")
-
-
-def q_url_change_rate(sf_dir: str):
-    """Recrawl-rate estimation (stages/freshness.py): per-url detected
-    change counts over a 6-snapshot observation log + the Cho–Garcia-
-    Molina bias-corrected Poisson rate — the number that drives
-    recrawl_priority at a real crawler. One hash(id)%P shuffle; only
-    (id, snap, hash) rows move."""
-    from ..stages.freshness import change_rate
-
-    return change_rate(_snapshot_history(sf_dir))
-
-
-SQL_URL_CHANGE_RATE = """
-WITH ks AS (SELECT UNNEST(range(6)) AS k),
-vers AS (
-  SELECT doc_id, text, k,
-         SUM(CASE WHEN k >= 1 AND (doc_id * 3 + k * k) % 7 = 0
-                  THEN 1 ELSE 0 END)
-           OVER (PARTITION BY doc_id ORDER BY k) AS v
-  FROM documents CROSS JOIN ks
-),
-obs AS (
-  SELECT doc_id, k,
-         md5(text || '#v' || CAST(v AS VARCHAR)) AS content_hash
-  FROM vers WHERE (doc_id + k) % 13 <> 0
-),
-pairs AS (
-  SELECT doc_id, content_hash,
-         LAG(content_hash) OVER (PARTITION BY doc_id ORDER BY k) AS prev
-  FROM obs
-),
-agg AS (
-  SELECT doc_id,
-         CAST(COUNT(*) AS BIGINT) AS n_obs,
-         CAST(SUM(CASE WHEN prev IS NOT NULL AND prev <> content_hash
-                       THEN 1 ELSE 0 END) AS BIGINT) AS n_changes
-  FROM pairs GROUP BY doc_id
-)
-SELECT doc_id, n_obs, n_changes,
-       CASE WHEN n_obs >= 2
-            THEN CAST(n_changes AS DOUBLE) / CAST(n_obs - 1 AS DOUBLE)
-            END AS change_ratio,
-       CASE WHEN n_obs >= 2
-            THEN -ln((CAST(n_obs - 1 - n_changes AS DOUBLE) + CAST(0.5 AS DOUBLE))
-                     / (CAST(n_obs - 1 AS DOUBLE) + CAST(0.5 AS DOUBLE)))
-            END AS est_rate
-FROM agg
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -927,215 +875,6 @@ def _opic_sql(waves: int = _OPIC_WAVES, budget: int = _OPIC_BUDGET) -> str:
 
 
 # ---------------------------------------------------------------------------
-# host_reciprocity — fraction of reciprocated inter-host links
-# ---------------------------------------------------------------------------
-
-def q_host_reciprocity(sf_dir: str):
-    """Link reciprocity of the directed host graph (the classic
-    web-graph health metric: spam rings reciprocate far above the
-    organic baseline). Page edges contract map-side to host pairs,
-    ONE groupby dedups to the simple directed graph, ONE canonical-pair
-    groupby counts directions (1 = one-way, 2 = reciprocated), map-side
-    partials fold to a single row: (n_edges, n_recip, reciprocity).
-    Integer counts + one division — bit-exact."""
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n = docs.count()
-
-    def host_pairs(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([ids, ids, ids])
-        dst = np.concatenate([(2 * ids + 1) % n, (2 * ids + 2) % n, (7 * ids + 3) % n])
-        hs = np.where(src % 7 == 0, 0, src % 50)
-        hd = np.where(dst % 7 == 0, 0, dst % 50)
-        keep = hs != hd
-        return pa.table(
-            {
-                "u": pa.array(hs[keep], pa.int64()),
-                "v": pa.array(hd[keep], pa.int64()),
-            }
-        )
-
-    he = (
-        docs.map_batches(host_pairs, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-    )
-
-    def canon(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False)
-        v = batch.column("v").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(u, v), pa.int64()),
-                "b": pa.array(np.maximum(u, v), pa.int64()),
-            }
-        )
-
-    pairs = he.map_batches(canon, batch_format="pyarrow").groupby(["a", "b"]).count()
-
-    def partials(batch: pa.Table) -> pa.Table:
-        c = batch.column("count()").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "n_edges": pa.array([int(c.sum())], pa.int64()),
-                "n_recip": pa.array([int(2 * (c == 2).sum())], pa.int64()),
-            }
-        )
-
-    agg = pairs.map_batches(partials, batch_format="pyarrow").aggregate(
-        ray.data.aggregate.Sum("n_edges", alias_name="n_edges"),
-        ray.data.aggregate.Sum("n_recip", alias_name="n_recip"),
-    )
-    n_edges, n_recip = int(agg["n_edges"]), int(agg["n_recip"])
-    return pa.table(
-        {
-            "n_edges": pa.array([n_edges], pa.int64()),
-            "n_recip": pa.array([n_recip], pa.int64()),
-            "reciprocity": pa.array(
-                [float(n_recip) / float(n_edges)], pa.float64()
-            ),
-        }
-    )
-
-
-SQL_HOST_RECIPROCITY = """
-WITH nn AS (SELECT COUNT(*) AS c FROM documents),
-child AS (
-  SELECT doc_id AS s, (2*doc_id+1) % nn.c AS d FROM documents, nn
-  UNION ALL SELECT doc_id, (2*doc_id+2) % nn.c FROM documents, nn
-  UNION ALL SELECT doc_id, (7*doc_id+3) % nn.c FROM documents, nn
-),
-he AS (
-  SELECT DISTINCT
-         CASE WHEN s % 7 = 0 THEN 0 ELSE s % 50 END AS u,
-         CASE WHEN d % 7 = 0 THEN 0 ELSE d % 50 END AS v
-  FROM child
-  WHERE (CASE WHEN s % 7 = 0 THEN 0 ELSE s % 50 END)
-     <> (CASE WHEN d % 7 = 0 THEN 0 ELSE d % 50 END)
-),
-r AS (
-  SELECT LEAST(u, v) AS a, GREATEST(u, v) AS b, COUNT(*) AS c
-  FROM he GROUP BY 1, 2
-)
-SELECT CAST(SUM(c) AS BIGINT) AS n_edges,
-       CAST(SUM(CASE WHEN c = 2 THEN 2 ELSE 0 END) AS BIGINT) AS n_recip,
-       CAST(SUM(CASE WHEN c = 2 THEN 2 ELSE 0 END) AS DOUBLE)
-         / CAST(SUM(c) AS DOUBLE) AS reciprocity
-FROM r
-"""
-
-
-# ---------------------------------------------------------------------------
-# graph_diameter — double-sweep BFS diameter lower bound
-# ---------------------------------------------------------------------------
-
-def q_graph_diameter(sf_dir: str):
-    """Diameter lower bound of the symmetrized doc link graph by the
-    classic double sweep (Magnien-Latapy-Habib): BFS from node 0 →
-    farthest node (ties → lowest id), BFS again from it; its
-    eccentricity is the bound (exact on trees, near-tight on web
-    graphs in practice). Both sweeps are multi_source_bfs
-    (packed-min-label propagation, 2 bounded shuffles per sweep); only
-    two scalar rows ever land on the driver. One output row:
-    (far1, ecc1, far2, diameter_lb)."""
-    from ..stages.graph import multi_source_bfs
-    from .queries import _synthetic_link_edges
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    nodes = docs.map_batches(
-        lambda b: pa.table({"node": b.column("doc_id")}), batch_format="pyarrow"
-    )
-    fwd = _synthetic_link_edges(sf_dir)
-    sym = fwd.union(
-        fwd.map_batches(
-            lambda b: pa.table({"src": b.column("dst"), "dst": b.column("src")}),
-            batch_format="pyarrow",
-        )
-    ).materialize()
-
-    def far_of(bfs):
-        row = (
-            bfs.sort(["dist", "node"], descending=[True, False])
-            .limit(1)
-            .take_all()[0]  # bounded: ≤ 1 rows (sort+limit)
-        )
-        return int(row["node"]), int(row["dist"])
-
-    far1, ecc1 = far_of(multi_source_bfs(nodes, sym, seeds=[0]))
-    far2, diameter_lb = far_of(multi_source_bfs(nodes, sym, seeds=[far1]))
-    return pa.table(
-        {
-            "far1": pa.array([far1], pa.int64()),
-            "ecc1": pa.array([ecc1], pa.int64()),
-            "far2": pa.array([far2], pa.int64()),
-            "diameter_lb": pa.array([diameter_lb], pa.int64()),
-        }
-    )
-
-
-def _graph_diameter_sql(n_iters: int = 16) -> str:
-    """Two unrolled dist-only min-propagation sweeps over the
-    symmetrized edge set; sweep 2's seed is sweep 1's argmax row
-    (dist DESC, node ASC). MATERIALIZED per the NOTES gotcha."""
-    sent = 1 << 62
-
-    def sweep(tag: str, seed_expr: str) -> str:
-        parts = [
-            f"""{tag}0 AS MATERIALIZED (
-  SELECT CAST(doc_id AS BIGINT) AS node,
-         CAST(CASE WHEN doc_id = ({seed_expr}) THEN 0
-                   ELSE {sent} END AS BIGINT) AS lbl
-  FROM documents
-)"""
-        ]
-        for i in range(1, n_iters + 1):
-            parts.append(
-                f"""{tag}{i} AS MATERIALIZED (
-  SELECT node, MIN(lbl) AS lbl FROM (
-    SELECT node, lbl FROM {tag}{i - 1}
-    UNION ALL
-    SELECT es.dst AS node, {tag}{i - 1}.lbl + 1 AS lbl
-    FROM {tag}{i - 1} JOIN es ON es.src = {tag}{i - 1}.node
-    WHERE {tag}{i - 1}.lbl < {sent}
-  ) GROUP BY node
-)"""
-            )
-        return ",\n".join(parts)
-
-    far1 = (
-        f"SELECT node FROM s{n_iters} WHERE lbl < {sent} "
-        f"ORDER BY lbl DESC, node ASC LIMIT 1"
-    )
-    return (
-        "WITH nn AS (SELECT COUNT(*) AS c FROM documents),\n"
-        + """e AS MATERIALIZED (
-  SELECT CAST(doc_id AS BIGINT) AS src,
-         CAST((2 * doc_id + 1) % nn.c AS BIGINT) AS dst FROM documents, nn
-  UNION ALL
-  SELECT doc_id, (2 * doc_id + 2) % nn.c FROM documents, nn
-  UNION ALL
-  SELECT doc_id, (7 * doc_id + 3) % nn.c FROM documents, nn
-),
-es AS MATERIALIZED (
-  SELECT src, dst FROM e UNION ALL SELECT dst, src FROM e
-),
-"""
-        + sweep("s", "0")
-        + ",\n"
-        + sweep("t", far1)
-        + f""",
-f1 AS (SELECT node AS far1, lbl AS ecc1 FROM s{n_iters} WHERE lbl < {sent}
-       ORDER BY lbl DESC, node ASC LIMIT 1),
-f2 AS (SELECT node AS far2, lbl AS diameter_lb FROM t{n_iters} WHERE lbl < {sent}
-       ORDER BY lbl DESC, node ASC LIMIT 1)
-SELECT CAST(far1 AS BIGINT) AS far1, CAST(ecc1 AS BIGINT) AS ecc1,
-       CAST(far2 AS BIGINT) AS far2, CAST(diameter_lb AS BIGINT) AS diameter_lb
-FROM f1, f2
-"""
-    )
-
-
-# ---------------------------------------------------------------------------
 # events_moving_avg — trailing frame-window mean per user stream
 # ---------------------------------------------------------------------------
 
@@ -1227,132 +966,6 @@ SELECT event_id, user_id,
        CAST(k AS BIGINT) AS n_win,
        CAST(s AS DOUBLE) / CAST(k * 100 AS DOUBLE) AS ma
 FROM w
-"""
-
-
-# ---------------------------------------------------------------------------
-# pivot_events — per-user event-type count pivot
-# ---------------------------------------------------------------------------
-
-_EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-def q_pivot_events(sf_dir: str):
-    """Classic pivot: one row per user, one int64 count column per
-    event type plus the total — map-side partial crosstabs (each block
-    collapses to <= |users-in-block| rows) then ONE groupby-sum over
-    the 5 + 1 count columns. The type set is the table's closed enum,
-    mirrored as FILTER columns in SQL."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        t = batch.column("event_type").to_pylist()
-        order = np.argsort(u, kind="mergesort")
-        u = u[order]
-        uniq, inv = np.unique(u, return_inverse=True)
-        tcode = np.fromiter(
-            (_EVENT_TYPES.index(x) for x in t), dtype=np.int64, count=len(t)
-        )[order]
-        counts = np.zeros((len(uniq), len(_EVENT_TYPES)), np.int64)
-        np.add.at(counts, (inv, tcode), 1)
-        cols = {"user_id": pa.array(uniq, pa.int64())}
-        for j, name in enumerate(_EVENT_TYPES):
-            cols[f"n_{name}"] = pa.array(counts[:, j], pa.int64())
-        cols["n_total"] = pa.array(counts.sum(axis=1), pa.int64())
-        return pa.table(cols)
-
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .sum([f"n_{t}" for t in _EVENT_TYPES] + ["n_total"])
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        cols = {"user_id": batch.column("user_id")}
-        for t in _EVENT_TYPES:
-            cols[f"n_{t}"] = batch.column(f"sum(n_{t})").cast(pa.int64())
-        cols["n_total"] = batch.column("sum(n_total)").cast(pa.int64())
-        return pa.table(cols)
-
-    return agg.map_batches(rename, batch_format="pyarrow")
-
-
-SQL_PIVOT_EVENTS = """
-SELECT user_id,
-       CAST(COUNT(*) FILTER (event_type = 'click') AS BIGINT) AS n_click,
-       CAST(COUNT(*) FILTER (event_type = 'error') AS BIGINT) AS n_error,
-       CAST(COUNT(*) FILTER (event_type = 'purchase') AS BIGINT) AS n_purchase,
-       CAST(COUNT(*) FILTER (event_type = 'signup') AS BIGINT) AS n_signup,
-       CAST(COUNT(*) FILTER (event_type = 'view') AS BIGINT) AS n_view,
-       CAST(COUNT(*) AS BIGINT) AS n_total
-FROM events
-GROUP BY user_id
-"""
-
-
-# ---------------------------------------------------------------------------
-# url_templates — URL pattern mining (digit-collapsed path templates)
-# ---------------------------------------------------------------------------
-
-def q_url_templates(sf_dir: str):
-    """URL template mining: collapse every digit run in the path to '#'
-    and count pages per (host, template) — the canonical URL-space
-    clustering crawlers use for trap detection and per-template crawl
-    budgets (a template with 10^7 instances and near-identical content
-    is a parameter trap; url_traps is the per-URL cousin). Pure map +
-    ONE partial-count groupby; the regex is compiled once per actor
-    batch closure."""
-    import re
-
-    pages = read_pages(sf_dir, columns=["url"])
-    digit_run = re.compile(r"[0-9]+")
-
-    def template(batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        hosts = hosts_array(batch.column("url")).to_pylist()
-        tpls = []
-        for u, h in zip(urls, hosts):
-            path = u.split(h, 1)[1] if h in u else u
-            tpls.append(digit_run.sub("#", path))
-        return pa.table(
-            {
-                "host": pa.array(hosts, pa.string()),
-                "template": pa.array(tpls, pa.string()),
-            }
-        )
-
-    return (
-        pages.map_batches(template, batch_format="pyarrow")
-        .groupby(["host", "template"])
-        .count()
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "host": b.column("host"),
-                    "template": b.column("template"),
-                    "n_pages": b.column("count()").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-
-SQL_URL_TEMPLATES = """
-WITH {pages},
-t AS (
-  SELECT host,
-         regexp_replace(
-           substr(url, strpos(url, host) + length(host)),
-           '[0-9]+', '#', 'g'
-         ) AS template
-  FROM purl
-)
-SELECT host, template, CAST(COUNT(*) AS BIGINT) AS n_pages
-FROM t GROUP BY host, template
 """
 
 
@@ -1526,52 +1139,3 @@ q AS (
 # ---------------------------------------------------------------------------
 # registration
 # ---------------------------------------------------------------------------
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["host_counts_cms"] = q_host_counts_cms
-    oracles["host_counts_cms"] = SQL_HOST_COUNTS_CMS.format(
-        pages=sql_pages.strip().removeprefix("\n")
-    )
-    queries["cdc_chunks"] = q_cdc_chunks
-    oracles["cdc_chunks"] = SQL_CDC_CHUNKS
-    queries["url_change_rate"] = q_url_change_rate
-    oracles["url_change_rate"] = SQL_URL_CHANGE_RATE
-    queries["redirect_resolve"] = q_redirect_resolve
-    oracles["redirect_resolve"] = SQL_REDIRECT_RESOLVE
-    queries["kcore"] = q_kcore
-    oracles["kcore"] = _kcore_sql(k=3, rounds=10)
-    queries["weighted_sample"] = q_weighted_sample
-    oracles["weighted_sample"] = SQL_WEIGHTED_SAMPLE
-    queries["crawl_budget_alloc"] = q_crawl_budget_alloc
-    oracles["crawl_budget_alloc"] = SQL_CRAWL_BUDGET_ALLOC.format(
-        pages=sql_pages.strip().removeprefix("\n")
-    )
-    queries["link_prediction"] = q_link_prediction
-    oracles["link_prediction"] = SQL_LINK_PREDICTION
-    queries["lexical_diversity"] = q_lexical_diversity
-    oracles["lexical_diversity"] = SQL_LEXICAL_DIVERSITY
-    queries["degree_assortativity"] = q_degree_assortativity
-    oracles["degree_assortativity"] = SQL_DEGREE_ASSORTATIVITY
-    queries["fuzzy_url_pairs"] = q_fuzzy_url_pairs
-    oracles["fuzzy_url_pairs"] = SQL_FUZZY_URL_PAIRS.format(
-        pages=sql_pages.strip().removeprefix("\n")
-    )
-    queries["opic_order"] = q_opic_order
-    oracles["opic_order"] = _opic_sql()
-    queries["host_reciprocity"] = q_host_reciprocity
-    oracles["host_reciprocity"] = SQL_HOST_RECIPROCITY
-    queries["graph_diameter"] = q_graph_diameter
-    oracles["graph_diameter"] = _graph_diameter_sql()
-    queries["events_moving_avg"] = q_events_moving_avg
-    oracles["events_moving_avg"] = SQL_EVENTS_MOVING_AVG
-    queries["pivot_events"] = q_pivot_events
-    oracles["pivot_events"] = SQL_PIVOT_EVENTS
-    queries["url_templates"] = q_url_templates
-    oracles["url_templates"] = SQL_URL_TEMPLATES.format(
-        pages=sql_pages.strip().removeprefix("\n")
-    )
-    from .queries import _STOP_RE  # shared stopword regex (import at call
-    # time: queries.py imports this module first, then calls register)
-
-    queries["quality_correlations"] = q_quality_correlations
-    oracles["quality_correlations"] = _quality_correlations_sql(_STOP_RE)

@@ -1,8 +1,6 @@
 """Ninth-wave operators (round-3 continuation session, 2026-08-19).
 
-Registered into the main query/oracle registries via ``register()`` —
-called from the tail of ``queries.py`` (same contract as
-``queries_wave8.register``).
+Listed by name in ``queries.py``'s QUERIES/ORACLES.
 
 House rules throughout: Arrow batches end to end, map-side partials
 before any groupby, broadcast small sides via ``ray.put``, bucketed
@@ -400,7 +398,7 @@ GROUP BY a, b
 # ---------------------------------------------------------------------------
 
 def q_community_modularity(sf_dir: str):
-    """Newman modularity readout for the label_communities partition —
+    """Newman modularity readout for the label-propagation partition —
     the quality gate a real pipeline runs after any community step.
     Per community c over the undirected simple graph restricted to
     labeled nodes: intra-edge count l_c, total endpoint degree d_c, and
@@ -1573,27 +1571,3 @@ FROM agg
 # ---------------------------------------------------------------------------
 # registration
 # ---------------------------------------------------------------------------
-
-def register(queries: dict, oracles: dict, sql_pages: str) -> None:
-    queries["token_entropy"] = q_token_entropy
-    oracles["token_entropy"] = SQL_TOKEN_ENTROPY
-    queries["assoc_rules"] = q_assoc_rules
-    oracles["assoc_rules"] = SQL_ASSOC_RULES
-    queries["cocitation_pairs"] = q_cocitation_pairs
-    oracles["cocitation_pairs"] = SQL_COCITATION_PAIRS
-    queries["community_modularity"] = q_community_modularity
-    oracles["community_modularity"] = _community_modularity_sql()
-    queries["hard_negatives"] = q_hard_negatives
-    oracles["hard_negatives"] = SQL_HARD_NEGATIVES
-    queries["containment_pairs"] = q_containment_pairs
-    oracles["containment_pairs"] = SQL_CONTAINMENT_PAIRS
-    queries["random_walks"] = q_random_walks
-    oracles["random_walks"] = _random_walks_sql()
-    queries["vocab_growth"] = q_vocab_growth
-    oracles["vocab_growth"] = SQL_VOCAB_GROWTH
-    queries["length_bucket_batching"] = q_length_bucket_batching
-    oracles["length_bucket_batching"] = SQL_LENGTH_BUCKET_BATCHING
-    queries["interarrival_stats"] = q_interarrival_stats
-    oracles["interarrival_stats"] = SQL_INTERARRIVAL_STATS
-    queries["bigram_logprob"] = q_bigram_logprob
-    oracles["bigram_logprob"] = SQL_BIGRAM_LOGPROB

@@ -8,9 +8,8 @@ current one — classify every url:
     changed    in both, content hash differs
     unchanged  in both, content hash equal
 
-This feeds recrawl scheduling (`recrawl_priority`), sink compaction
-(`snapshot_latest`) and incremental downstream refresh (only `new|changed`
-re-enter extraction/dedup).
+This feeds recrawl scheduling, sink compaction and incremental downstream
+refresh (only `new|changed` re-enter extraction/dedup).
 
 Shape: a full-outer-join on the id. Implemented as ONE bucketed shuffle —
 both sides tagged and unioned, grouped by hash(id)%P (P scheduling units,
@@ -39,7 +38,7 @@ def snapshot_delta(
 ) -> "ray.data.Dataset":
     """→ (id_col, status) for the union of both snapshots' ids.
     Each side must hold at most one row per id (a snapshot; enforce with
-    `snapshot_latest`-style compaction upstream if needed — duplicated ids
+    latest-per-id compaction upstream if needed — duplicated ids
     raise inside the bucket rather than silently mis-classifying)."""
     P = np.uint64(num_buckets)
 

@@ -140,6 +140,49 @@ def make_pdf(
     return bytes(out)
 
 
+# layout of the PDFs ``pdf_corpus`` synthesizes from a documents table
+TOKENS_PER_LINE = 6
+LINES_PER_PAGE = 5
+
+
+def synth_pdf_batch(batch: pa.Table) -> pa.Table:
+    """(doc_id, text) rows → (doc_id, pdf): one Flate-compressed PDF per
+    document, ``TOKENS_PER_LINE`` tokens per line and ``LINES_PER_PAGE``
+    lines per page."""
+    ids = batch.column("doc_id").to_pylist()
+    texts = batch.column("text").to_pylist()
+    pdfs = []
+    for rid, t in zip(ids, texts):
+        toks = (t or "").split()
+        lines = [
+            " ".join(toks[i : i + TOKENS_PER_LINE])
+            for i in range(0, len(toks), TOKENS_PER_LINE)
+        ]
+        pages = [
+            lines[j : j + LINES_PER_PAGE]
+            for j in range(0, len(lines), LINES_PER_PAGE)
+        ]
+        pdfs.append(make_pdf(pages, title=f"doc {rid}"))
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "pdf": pa.array(pdfs, pa.binary()),
+        }
+    )
+
+
+def pdf_corpus(sf_dir: str):
+    """``sf_dir``'s documents table as a Dataset of (doc_id, pdf) rows."""
+    import ray
+
+    docs = ray.data.read_parquet(
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    )
+    return docs.map_batches(
+        synth_pdf_batch, batch_format="pyarrow", batch_size=64
+    )
+
+
 # --------------------------------------------------------------------------
 # reader
 # --------------------------------------------------------------------------

@@ -83,6 +83,8 @@ def test_critical_requeues_then_identical_crawl(ray_session):
     # identical final crawl set and page count vs the unpressured run
     assert run.pages_crawled == base.pages_crawled
     assert _crawl_set(run) == base_set
+    # crawl_order reads every wave, the requeued ones included
+    assert {u for u, _ in run.crawl_order} == {u for u, _ in base.crawl_order}
 
 
 def test_pressure_shrinks_budget_without_loss(ray_session):

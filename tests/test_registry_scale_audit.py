@@ -60,7 +60,7 @@ def test_scale_note_census_is_intentional():
     ACCEPTED = {
         # each surviving site is a named, documented driver-state class:
         # fixed-rate sampled pools (w9, w28), iterative algorithm-state
-        # broadcasts (w31 onion peel ids, w58 LTM active set), the
+        # broadcasts (w31 onion peel ids), the
         # SHARDS full-rate oracle variant (w47), and w40's
         # quantized-rank moment fold (rank ties make a value-histogram
         # no smaller). r5: the three vocabulary-sized model folds
@@ -72,7 +72,6 @@ def test_scale_note_census_is_intentional():
         "queries_wave31.py",
         "queries_wave40.py",
         "queries_wave47.py",
-        "queries_wave58.py",
         "queries_wave9.py",
     }
     offenders = [s for s in noted if s.split(":")[0] not in ACCEPTED]
